@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .exceptions import ResourceLimitError, UnsupportedRootSystemError
 from .mult import (
@@ -24,12 +23,6 @@ from .torus import torus_from_epsilon_text, torus_from_json
 from .verify import run_check
 from .weights import DEFAULT_ORBIT_BOUND, level_sets
 from . import kernels
-
-
-@dataclass
-class CliConfig:
-    command: str
-    options: dict
 
 
 def parse_weight_text(text: str, datum: RootDatum | None = None) -> Weight:
@@ -296,9 +289,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
-    config = CliConfig(command=args.command, options=vars(args))
     try:
-        return _DISPATCH[config.command](args)
+        return _DISPATCH[args.command](args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

@@ -5,10 +5,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
+from .exceptions import DatumMismatchError
 from .mult import DEFAULT_DIM_BOUND, WeightMultiset, freudenthal_multiplicities
 from .rootdata import Weight
-from .torus import TorusElement, ValueGroupElement, evaluate
+from .torus import TorusElement, ValueGroupElement
 
 
 class SpectrumKind(enum.Enum):
@@ -68,15 +72,37 @@ def spectrum(s: TorusElement, lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -
 
 
 def spectrum_of_multiset(s: TorusElement, multiset: WeightMultiset) -> Spectrum:
+    """Spectrum of s on the weights of the multiset.
+
+    Values are accumulated on integer keys (t mod D, free part), where D is
+    the least common denominator of the assignment torsions and t the
+    torsion numerator over D; one ValueGroupElement is built per distinct
+    value.  The result equals ``Spectrum.from_dict`` of the sum of
+    ``evaluate`` over the weights.
+    """
+    datum = s.datum
+    D = lcm(*(v.torsion.denominator for v in s.assignments))
+    # Row i of the evaluation matrix is the value of omega_i as integers:
+    # its torsion numerator over D, then its free part.
+    columns = tuple(zip(*(
+        (v.torsion.numerator * (D // v.torsion.denominator),) + v.free
+        for v in s.assignments
+    )))
+    tcol, fcols = columns[0], columns[1:]
     acc = {}
     for w, m in multiset.entries.items():
-        v = evaluate(s, w)
-        acc[v] = acc.get(v, 0) + m
-    return Spectrum.from_dict(
-        acc,
-        source=(s.label, str(multiset.highest)),
-        validity=multiset.validity,
-    )
+        if w.datum is not datum:
+            raise DatumMismatchError("weight bound to a different datum than the torus element")
+        c = w.coords
+        key = (sum(map(mul, c, tcol)) % D, tuple([sum(map(mul, c, col)) for col in fcols]))
+        acc[key] = acc.get(key, 0) + m
+    # t / D orders as t does, so the integer keys sort in the canonical order.
+    # The list is built first because tuple() over a generator grows by
+    # reallocation, which left the heap measurably larger over many calls.
+    entries = tuple([
+        (ValueGroupElement(Fraction(t, D), free), m) for (t, free), m in sorted(acc.items())
+    ])
+    return Spectrum(entries, (s.label, str(multiset.highest)), multiset.validity)
 
 
 def classify(sp: Spectrum) -> SpectrumClass:

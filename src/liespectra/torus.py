@@ -300,7 +300,10 @@ def canonical_root_strata(datum: RootDatum, depth: int):
     Depth 1 yields the kernels generated by a single root (one per root
     length); depth 2 adds kernels generated by pairs of roots.  Kernels of
     full rank (possible only when the pair count reaches the rank) are
-    omitted since they carry no generic element.
+    omitted since they carry no generic element.  Each stratum is keyed by
+    the least Hermite normal form in its W-orbit; every orbit is enumerated
+    once, and generator sets whose lattice lies in a finished orbit are
+    skipped.
     """
     if depth < 1:
         raise ValueError("stratum depth must be >= 1")
@@ -308,8 +311,7 @@ def canonical_root_strata(datum: RootDatum, depth: int):
     alpha = datum.simple_root_coords
     pos = [r.coords for r in datum.positive_roots]
 
-    def w_minimal_key(rows):
-        start = _lattice_key(rows, n)
+    def w_orbit(start):
         seen = {start}
         frontier = [start]
         while frontier:
@@ -325,7 +327,7 @@ def canonical_root_strata(datum: RootDatum, depth: int):
                         seen.add(nk)
                         new.append(nk)
             frontier = new
-        return min(seen)
+        return seen
 
     generators = []
     if depth >= 1:
@@ -333,16 +335,16 @@ def canonical_root_strata(datum: RootDatum, depth: int):
     if depth >= 2:
         for a, b in itertools.combinations(pos, 2):
             generators.append([a, b])
-    canon = {}
+    done = set()
+    canon = []
     for gens in generators:
         key = _lattice_key(gens, n)
-        if len(key) >= n:
-            continue  # full-rank kernel: no generic element
-        canon.setdefault(w_minimal_key(gens), None)
-    out = []
-    for key in sorted(canon):
-        out.append(tuple(Weight(row, datum) for row in key))
-    return out
+        if len(key) >= n or key in done:
+            continue  # full-rank kernel (no generic element), or orbit already found
+        orbit = w_orbit(key)
+        done |= orbit
+        canon.append(min(orbit))
+    return [tuple(Weight(row, datum) for row in key) for key in sorted(canon)]
 
 
 # -- epsilon shorthand ---------------------------------------------------------

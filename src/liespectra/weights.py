@@ -163,29 +163,35 @@ def weight_level(lam: Weight) -> int:
 
     Chains between dominant weights refine into single positive-root steps
     through dominant weights, so the longest chain satisfies the local
-    recursion over lam - beta for positive roots beta.
+    recursion over lam - beta for positive roots beta.  The recursion is
+    unrolled onto an explicit stack, so long chains cannot exhaust the
+    interpreter's recursion limit.
     """
     if not lam.is_dominant:
         raise ValueError(f"weight level needs a dominant weight, got {lam}")
     datum = lam.datum
     cache = _LEVEL_CACHE.setdefault(id(datum), {})
     roots = tuple(r.coords for r in datum.positive_roots)
-
-    def rec(coords):
-        got = cache.get(coords)
-        if got is not None:
-            return got
-        best = 0
-        for root in roots:
-            cand = tuple(a - b for a, b in zip(coords, root))
-            if all(x >= 0 for x in cand):
-                lvl = rec(cand)
-                if lvl > best:
-                    best = lvl
-        cache[coords] = best + 1
-        return best + 1
-
-    return rec(lam.coords)
+    below = {}  # coords -> dominant coords one positive root lower
+    stack = [lam.coords]
+    while stack:
+        coords = stack[-1]
+        if coords in cache:
+            stack.pop()
+            continue
+        lower = below.get(coords)
+        if lower is None:
+            lower = below[coords] = [
+                cand for cand in (tuple(a - b for a, b in zip(coords, root)) for root in roots)
+                if all(x >= 0 for x in cand)
+            ]
+            missing = [c for c in lower if c not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+        cache[coords] = 1 + max((cache[c] for c in lower), default=0)
+        stack.pop()
+    return cache[lam.coords]
 
 
 def is_minuscule(lam: Weight) -> bool:

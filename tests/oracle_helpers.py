@@ -8,8 +8,11 @@ by the alternating Kostant partition-function sum over the full Weyl group.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
+
+from liespectra.linalg import hermite_normal_form
 
 
 def root_coefficients_oracle(datum, coords):
@@ -239,3 +242,35 @@ def in_rational_span_oracle(rows, target):
                 work[r] = [a - g * b for a, b in zip(work[r], work[row])]
         row += 1
     return not any(t)
+
+
+def canonical_root_strata_oracle(datum, depth):
+    """Root-kernel strata keys by brute force: for every generator set of at
+    most `depth` positive roots, the full W-orbit of its lattice (Hermite
+    normal forms closed under simple reflections) and the least key in it.
+    Returns the sorted distinct orbit minima as tuples of coordinate rows.
+    It shares only the library's Hermite normal form, which defines the keys
+    being compared."""
+    n = datum.rank
+    pos = [r.coords for r in datum.positive_roots]
+    generators = [[r] for r in pos]
+    if depth >= 2:
+        generators += [list(pair) for pair in itertools.combinations(pos, 2)]
+    minima = set()
+    for gens in generators:
+        start = hermite_normal_form([tuple(r) for r in gens])
+        if len(start) >= n:
+            continue
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            new = []
+            for key in frontier:
+                for i in range(n):
+                    nk = hermite_normal_form([reflect(datum, row, i) for row in key])
+                    if nk not in seen:
+                        seen.add(nk)
+                        new.append(nk)
+            frontier = new
+        minima.add(min(seen))
+    return sorted(minima)

@@ -2,11 +2,15 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from liespectra import (
+    DatumMismatchError,
     Spectrum,
     ValueGroupElement,
     build_root_datum,
     classify,
+    evaluate,
     freudenthal_multiplicities,
     generic_regular_element,
     is_almost_simple,
@@ -17,6 +21,7 @@ from liespectra import (
     spectrum,
     spectrum_of_multiset,
     tensor_spectrum,
+    torus_element,
     torus_from_epsilon_text,
     zero_weight_multiplicity,
 )
@@ -50,6 +55,49 @@ def test_spectrum_examples():
     sp = spectrum(s, a2.weight((1, 1)))
     assert by_coords(sp, s) == {"1": 4, "a^3": 2, "a^-3": 2}
     assert classify(sp).kind is SpectrumKind.NOT_ALMOST_SIMPLE
+
+
+def _spectrum_by_evaluate(s, multiset):
+    acc = {}
+    for w, m in multiset.entries.items():
+        v = evaluate(s, w)
+        acc[v] = acc.get(v, 0) + m
+    return Spectrum.from_dict(acc, (s.label, str(multiset.highest)), multiset.validity)
+
+
+def _equivalence_cases():
+    a3 = build_root_datum("A", 3)
+    mixed = torus_element(
+        a3, [(Fraction(1, 2), (1, 0)), (Fraction(1, 3), (0, 1)), (Fraction(1, 4), (1, -1))]
+    )
+    torsion_only = torus_element(a3, [(Fraction(1, 2), ()), (Fraction(2, 3), ()), (Fraction(3, 4), ())])
+    g2 = build_root_datum("G", 2)
+    g2_torsion_only = torus_element(g2, [(Fraction(1, 3), ()), (Fraction(1, 2), ())])
+    b3 = torus_from_epsilon_text(build_root_datum("B", 3), "-1,a,1/a^3")
+    d4 = torus_from_epsilon_text(build_root_datum("D", 4), "i,-a,b,-1/b")
+    return [
+        pytest.param(mixed, [(1, 1, 0), (2, 0, 1), (0, 2, 0)], id="mixed-denominators"),
+        pytest.param(torsion_only, [(1, 0, 0), (1, 1, 0), (0, 2, 1)], id="free-rank-0"),
+        pytest.param(g2_torsion_only, [(1, 0), (0, 1), (2, 1)], id="free-rank-0-G2"),
+        pytest.param(b3, [(1, 0, 0), (0, 0, 1), (0, 1, 1)], id="B3-epsilon"),
+        pytest.param(d4, [(1, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 0)], id="D4-epsilon"),
+    ]
+
+
+@pytest.mark.parametrize("s,modules", _equivalence_cases())
+def test_spectrum_of_multiset_equals_per_weight_evaluation(s, modules):
+    for coords in modules:
+        multiset = freudenthal_multiplicities(s.datum.weight(coords))
+        got = spectrum_of_multiset(s, multiset)
+        assert got == _spectrum_by_evaluate(s, multiset), coords
+        assert all(type(v.torsion) is Fraction and 0 <= v.torsion < 1 for v, _ in got.entries)
+
+
+def test_spectrum_of_multiset_rejects_a_multiset_of_another_datum():
+    s = torus_from_epsilon_text(build_root_datum("A", 3), "a,b,1/a,1/b")
+    foreign = freudenthal_multiplicities(build_root_datum("B", 3).fundamental_weight(1))
+    with pytest.raises(DatumMismatchError):
+        spectrum_of_multiset(s, foreign)
 
 
 def test_spectrum_total_is_module_dimension():

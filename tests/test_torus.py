@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracle_helpers as oh
+import liespectra.torus as torus_module
 from liespectra import (
     StratumSpec,
     UnsupportedRootSystemError,
@@ -15,6 +16,7 @@ from liespectra import (
     generic_stratum_element,
     is_central,
     is_regular,
+    parse_group,
     premet_weight_set,
     separates_weights,
     spectrum,
@@ -215,6 +217,45 @@ def test_canonical_root_strata_counts():
     b3 = build_root_datum("B", 3)
     assert len(canonical_root_strata(b3, 1)) == 2
     assert len(canonical_root_strata(b3, 2)) > 2
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("name", ["A3", "A4", "B3", "C3", "G2", "D4", "D5", "F4"])
+def test_canonical_root_strata_match_the_per_generator_oracle(name, depth):
+    datum = parse_group(name)
+    got = [tuple(w.coords for w in kernel) for kernel in canonical_root_strata(datum, depth)]
+    assert got == oh.canonical_root_strata_oracle(datum, depth)
+
+
+@pytest.mark.parametrize("name,count", [
+    ("D4", 5), ("D5", 4), ("D6", 4), ("F4", 7), ("B3", 6), ("C3", 6),
+    ("E6", 3), ("E7", 3), ("E8", 3),
+])
+def test_depth_two_strata_counts(name, count):
+    assert len(canonical_root_strata(parse_group(name), 2)) == count
+
+
+@pytest.mark.parametrize("name", ["D6", "F4", "E6", "E8"])
+def test_strata_lattice_keys_scale_with_generator_sets(name, monkeypatch):
+    # One key per generator set plus rank many per member of each orbit: at
+    # most 6.5 keys per set on these groups (E8).  A W-orbit search per
+    # generator set makes 121 (F4) to 1060 (E6) keys per set.
+    datum = parse_group(name)
+    p = len(datum.positive_roots)
+    limit = 10 * (p + p * (p - 1) // 2)
+    calls = 0
+    lattice_key = torus_module._lattice_key
+
+    def counting(rows, n):
+        nonlocal calls
+        calls += 1
+        # Fail at the limit rather than wait for a search that may take hours.
+        assert calls <= limit, f"more than {limit} lattice keys"
+        return lattice_key(rows, n)
+
+    monkeypatch.setattr(torus_module, "_lattice_key", counting)
+    canonical_root_strata(datum, 2)
+    assert calls > 0
 
 
 def test_torsion_decorations_for_the_long_root_stratum():

@@ -88,6 +88,13 @@ def test_bounds_checks_pass():
         assert report.status == "Pass", (fam, rank)
 
 
+@pytest.mark.parametrize("check", ["c99", "bounds"])
+@pytest.mark.parametrize("rank,dim_bound", [(6, 100), (7, 200), (8, 300)])
+def test_exceptional_sweeps_pass_at_depth_two(check, rank, dim_bound):
+    report = run_check(check, family="E", rank=rank, dim_bound=dim_bound, depth=2, seed=0)
+    assert report.status == "Pass", [c for c in report.cases if not c["ok"]]
+
+
 @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 2), ("C", 3), ("D", 4), ("D", 5)])
 def test_natural_module_regularity_pass(family, rank):
     report = verify_natural_module_regularity(family, rank, samples=80, seed=1)

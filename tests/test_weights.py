@@ -209,6 +209,15 @@ def test_weight_level_examples():
     assert weight_level(a1.weight((3,))) == 2
 
 
+def test_weight_level_of_long_chains_matches_the_closed_form():
+    # A1:[k] lies above k-2, k-4, ..., k mod 2: level floor(k/2) + 1.  The
+    # top weight goes first, so its chain of 1500 levels is walked in one call.
+    a1 = build_root_datum("A", 1)
+    assert weight_level(a1.weight((3000,))) == 1501
+    for k in range(3001):
+        assert weight_level(a1.weight((k,))) == k // 2 + 1
+
+
 @pytest.mark.parametrize("name,bound", [("A2", 4), ("B2", 4), ("B3", 2), ("C3", 2), ("G2", 3), ("D4", 2)])
 def test_weight_level_matches_chain_oracle(name, bound):
     datum = parse_group(name)
