@@ -1,9 +1,11 @@
-"""Pure-Python kernels for the hot loops: dominant closures, Weyl orbits and
-the Freudenthal recursion.
+"""Pure-Python kernels for the hot loops: dominant representatives and
+closures, Weyl orbits and the Freudenthal recursion.
 
-The compiled twin (_kernels_c) implements the same four functions with the
-same signatures; `liespectra.kernels` picks one at import time.  All inputs
-are plain ints and tuples so both backends are interchangeable.  The twin's
+The compiled twin (_kernels_c) implements dominant_subdominants, weyl_orbit,
+orbit_expand and freudenthal with the same signatures; `liespectra.kernels`
+picks a backend for those four at import time.  dominant_rep exists only
+here and is the package's one dominant-representative loop.  All inputs are
+plain ints and tuples so both backends are interchangeable.  The twin's
 Freudenthal kernel still walks every alpha-string to its top instead of
 stopping at the first dominant weight (see `freudenthal`); it must return
 output identical to this one.
@@ -23,8 +25,15 @@ Argument conventions:
 from __future__ import annotations
 
 
-def _dominant_rep(coords, alpha, n):
+def dominant_rep(coords, alpha, n):
+    """The dominant weight in the Weyl orbit of coords, and a reflection word.
+
+    Each step reflects by the first negative coordinate.  Applying the simple
+    reflections of the word in order to coords gives the representative:
+    rep = s_{w[-1]}(... s_{w[0]}(coords) ...).
+    """
     c = list(coords)
+    word = []
     while True:
         for i in range(n):
             if c[i] < 0:
@@ -32,9 +41,10 @@ def _dominant_rep(coords, alpha, n):
                 ai = alpha[i]
                 for j in range(n):
                     c[j] -= ci * ai[j]
+                word.append(i)
                 break
         else:
-            return tuple(c)
+            return tuple(c), tuple(word)
 
 
 def _deficit(lam, mu, adj, det, n):
@@ -155,7 +165,7 @@ def freudenthal(n, alpha, posroots, pairings, dhalf, adj, det, sform, den, lam):
                 for j in range(n):
                     nu[j] += root[j]
                     pair += nu[j] * pv[j]
-                rep = _dominant_rep(nu, alpha, n)
+                rep = dominant_rep(nu, alpha, n)[0]
                 j2 = index.get(rep)
                 if j2 is None:
                     break

@@ -21,7 +21,7 @@ from .rootdata import RootDatum, Weight, build_root_datum, e_constant, parse_gro
 from .spectra import classify, spectrum_of_multiset
 from .torus import torus_from_epsilon_text, torus_from_json
 from .verify import run_check
-from .weights import DEFAULT_ORBIT_BOUND, level_sets
+from .weights import level_sets
 from . import kernels
 
 
@@ -91,7 +91,6 @@ def _build_parser():
 
     i = sub.add_parser("info", help="describe a root datum")
     i.add_argument("--group", required=True)
-    i.add_argument("--orbit-bound", type=int, default=DEFAULT_ORBIT_BOUND)
     i.add_argument("--json", action="store_true")
     return top
 

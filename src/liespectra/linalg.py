@@ -1,4 +1,4 @@
-"""Small exact linear algebra helpers: Fraction solves, integer adjugates,
+"""Small exact linear algebra helpers: Fraction inverses, integer adjugates,
 Hermite and Smith normal forms.
 
 Everything here works on nested tuples/lists of ints or Fractions; matrices
@@ -19,25 +19,6 @@ def vec_mat(v, m):
     """Row vector times matrix."""
     cols = len(m[0])
     return tuple(sum(v[k] * m[k][j] for k in range(len(v))) for j in range(cols))
-
-
-def solve_exact(a, b):
-    """Solve a x = b for square Fraction matrix a, column b.  Returns a list
-    of Fractions; raises ValueError if singular."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
 
 
 def invert_exact(a):

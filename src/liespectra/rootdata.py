@@ -16,12 +16,15 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from . import kernels
 from .exceptions import DatumMismatchError, UnsupportedRootSystemError
-from .linalg import int_det, invert_exact, solve_exact, vec_mat
+from .linalg import int_det, invert_exact, vec_mat
 
 SUPPORTED_RANGES = {
     "A": (1, None),
@@ -141,11 +144,14 @@ class RootDatum:
 
         # Fundamental weights in the eps realization: omega_i lies in the span
         # of the simple roots with <omega_i, alpha_j^vee> = delta_ij.
-        gram = [[Fraction(eform(eps_simple[i], eps_simple[j])) for j in range(n)] for i in range(n)]
+        # Over the simple roots omega_i has coefficients (l_i/2) * column i of
+        # the inverse Gram matrix, l_i = (alpha_i, alpha_i).
+        gram_inv = invert_exact(
+            [[eform(eps_simple[i], eps_simple[j]) for j in range(n)] for i in range(n)]
+        )
         fw_eps = []
         for i in range(n):
-            rhs = [Fraction(lengths[j], 2) if j == i else Fraction(0) for j in range(n)]
-            x = solve_exact(gram, rhs)
+            x = [Fraction(lengths[i], 2) * gram_inv[k][i] for k in range(n)]
             vec = tuple(
                 sum(x[k] * Fraction(eps_simple[k][m]) for k in range(n))
                 for m in range(self._eps_dim)
@@ -158,8 +164,8 @@ class RootDatum:
             tuple(eps_scale * sum(a * b for a, b in zip(fw_eps[i], fw_eps[j])) for j in range(n))
             for i in range(n)
         )
-        self.form_denominator = _lcm_all(
-            x.denominator for row in self.form_matrix for x in row
+        self.form_denominator = math.lcm(
+            *(x.denominator for row in self.form_matrix for x in row)
         )
         self.form_scaled = tuple(
             tuple(int(x * self.form_denominator) for x in row) for row in self.form_matrix
@@ -185,10 +191,13 @@ class RootDatum:
         short = [r for r in self.positive_roots if self.root_length_half(r) == 1]
         self.highest_short_root = self._dominance_max(short)
 
-        # Pairing data per positive root: coroot pairing vector and (alpha,alpha)/2.
+        # Pairing data per positive root: coroot pairing vector and (alpha,alpha)/2;
+        # height and simple-root support for weyl_order.
         pairs = []
+        heights_supports = []
         for r in self.positive_roots:
             c = self.root_coefficients(r)
+            heights_supports.append((sum(c), frozenset(i for i in range(n) if c[i])))
             d_alpha = self.root_length_half(r)
             vec = []
             for i in range(n):
@@ -197,33 +206,29 @@ class RootDatum:
                 vec.append(int(val))
             pairs.append(tuple(vec))
         self.coroot_pairings = tuple(pairs)
+        self._root_heights_supports = tuple(heights_supports)
         self.root_half_lengths = tuple(self.root_length_half(r) for r in self.positive_roots)
+        self._weyl_orders = {}
 
         self.epsilon_map = self._fw_eps if family in "ABCD" else None
 
     # -- construction helpers -------------------------------------------------
 
     def _generate_positive_roots(self):
-        n = self.rank
-        seen = set(self.simple_root_coords)
-        frontier = list(self.simple_root_coords)
-        while frontier:
-            new = []
-            for coords in frontier:
-                for i in range(n):
-                    ref = _reflect(coords, i, self.simple_root_coords)
-                    if ref not in seen:
-                        seen.add(ref)
-                        new.append(ref)
-            frontier = new
-        out = []
-        for coords in sorted(seen):
+        # Every root is W-conjugate to a simple root, so the roots are the
+        # W-orbits of the simple roots (at most two: one per root length).
+        roots = set()
+        for a in self.simple_root_coords:
+            if a not in roots:
+                roots.update(kernels.weyl_orbit(self.rank, self.simple_root_coords, a))
+        positive = []
+        for coords in roots:
             cf = self._coefficients(coords)
-            if cf is not None and all(x >= 0 for x in cf):
-                out.append(Weight(coords, self))
+            if all(x >= 0 for x in cf):
+                positive.append((sum(cf), coords))
         # Sort by height then lexicographically, for reproducible reports.
-        out.sort(key=lambda r: (sum(self._coefficients(r.coords)), r.coords))
-        return tuple(out)
+        positive.sort()
+        return tuple(Weight(coords, self) for _, coords in positive)
 
     def _coefficients(self, coords):
         n = self.rank
@@ -286,35 +291,25 @@ class RootDatum:
 
     def weyl_order(self, support=None):
         """Order of the Weyl group, or of the parabolic generated by the
-        simple reflections in ``support`` (an iterable of 0-based indices)."""
-        if support is None:
-            support = range(self.rank)
-        return _parabolic_order(self.cartan, tuple(sorted(set(support))))
+        simple reflections in ``support`` (an iterable of 0-based indices).
+
+        The positive roots supported in J form the root system of W_J.  If
+        r_h of them have height h, the exponents m_1..m_|J| of W_J are the
+        dual partition, m_k = #{h : r_h >= k}, and |W_J| = prod (m_k + 1)
+        (Kostant; Humphreys, Reflection Groups and Coxeter Groups, 3.9, 3.20).
+        """
+        key = frozenset(range(self.rank) if support is None else support)
+        order = self._weyl_orders.get(key)
+        if order is None:
+            per_height = Counter(h for h, s in self._root_heights_supports if s <= key)
+            order = 1
+            for k in range(1, per_height[1] + 1):
+                order *= 1 + sum(1 for r in per_height.values() if r >= k)
+            self._weyl_orders[key] = order
+        return order
 
     def __repr__(self):
         return f"RootDatum({self.family!r}, {self.rank})"
-
-
-def _reflect(coords, i, simple_root_coords):
-    ci = coords[i]
-    if ci == 0:
-        return coords
-    alpha = simple_root_coords[i]
-    return tuple(c - ci * a for c, a in zip(coords, alpha))
-
-
-def _lcm_all(values):
-    out = 1
-    for v in values:
-        g = _gcd(out, v)
-        out = out // g * v
-    return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _simple_roots_eps(family, rank):
@@ -384,93 +379,15 @@ def _simple_roots_eps(family, rank):
     raise UnsupportedRootSystemError(f"unknown family {family!r}")
 
 
-_WEYL_ATOMIC = {"E6": 51840, "E7": 2903040, "E8": 696729600}
+_cached_root_datum = lru_cache(maxsize=None)(RootDatum)
 
 
-def _parabolic_order(cartan, support):
-    """Order of the parabolic Weyl subgroup generated by the given simple
-    reflections, from the classification of the induced subdiagram."""
-    if not support:
-        return 1
-    idx = list(support)
-    adj = {i: [] for i in idx}
-    for a in idx:
-        for b in idx:
-            if a < b and cartan[a][b] != 0:
-                mult = cartan[a][b] * cartan[b][a]
-                adj[a].append((b, mult))
-                adj[b].append((a, mult))
-    seen = set()
-    order = 1
-    for start in idx:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y, _ in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        order *= _component_order(comp, adj)
-    return order
-
-
-def _component_order(comp, adj):
-    k = len(comp)
-    mults = [m for x in comp for _, m in adj[x]]
-    degrees = {x: len(adj[x]) for x in comp}
-    if 3 in mults:
-        assert k == 2
-        return 12
-    if 2 in mults:
-        # Chains with one double bond: B/C for k<4 is forced; F4 needs the
-        # double bond in the middle of a 4-chain.
-        if k == 4 and all(degrees[x] <= 2 for x in comp):
-            ends = [x for x in comp if degrees[x] == 1]
-            mid = [x for x in comp if degrees[x] == 2]
-            if all(m == 1 for x in ends for _, m in adj[x]) and len(mid) == 2:
-                return 1152  # F4
-        return (2 ** k) * _factorial(k)
-    branch = [x for x in comp if degrees[x] == 3]
-    if not branch:
-        return _factorial(k + 1)  # type A
-    arms = sorted(_arm_lengths(branch[0], adj))
-    if arms[0] == 1 and arms[1] == 1:
-        return 2 ** (k - 1) * _factorial(k)  # type D
-    return _WEYL_ATOMIC[f"E{k}"]
-
-
-def _arm_lengths(branch, adj):
-    lengths = []
-    for start, _ in adj[branch]:
-        ln = 1
-        prev, cur = branch, start
-        while True:
-            nxt = [y for y, _ in adj[cur] if y != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            ln += 1
-        lengths.append(ln)
-    return lengths
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-@lru_cache(maxsize=None)
 def build_root_datum(family: str, rank: int) -> RootDatum:
     """Construct (or fetch the cached) root datum for a simple type.
 
-    Supported: A n>=1, B n>=2, C n>=2, D n>=4, E6/E7/E8, F4, G2.
+    Supported: A n>=1, B n>=2, C n>=2, D n>=4, E6/E7/E8, F4, G2.  The
+    arguments are validated and the family upper-cased before the cache is
+    consulted, so ("a", 3) and ("A", 3) give the same datum.
     """
     family = str(family).upper()
     if family not in SUPPORTED_RANGES:
@@ -478,12 +395,21 @@ def build_root_datum(family: str, rank: int) -> RootDatum:
             f"unknown family {family!r}; valid families are A, B, C, D, E, F, G"
         )
     lo, hi = SUPPORTED_RANGES[family]
-    if not isinstance(rank, int) or rank < lo or (hi is not None and rank > hi):
+    if (
+        isinstance(rank, bool)
+        or not isinstance(rank, int)
+        or rank < lo
+        or (hi is not None and rank > hi)
+    ):
         span = f"{lo}..{hi}" if hi is not None else f">={lo}"
         raise UnsupportedRootSystemError(
             f"{family}{rank} is not supported; valid ranks for {family} are {span}"
         )
-    return RootDatum(family, rank)
+    return _cached_root_datum(family, rank)
+
+
+# Lets callers empty the datum cache, e.g. to model a fresh process.
+build_root_datum.cache_clear = _cached_root_datum.cache_clear
 
 
 def parse_group(text: str) -> RootDatum:

@@ -129,9 +129,6 @@ class TorusElement:
     def free_rank(self):
         return len(self.assignments[0].free) if self.assignments else 0
 
-    def identity_value(self):
-        return ValueGroupElement.identity(self.free_rank)
-
     def render_value(self, v):
         return v.render(self.gen_names, self.gen_denoms)
 

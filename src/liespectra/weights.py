@@ -4,13 +4,17 @@ subdominant enumeration, radical/minuscule tests and level stratification."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .exceptions import DatumMismatchError, ResourceLimitError
 from .rootdata import RootDatum, Weight
 from . import kernels
+from ._kernels_py import dominant_rep
 
 DEFAULT_ORBIT_BOUND = 10_000_000
+# Most dominant weights enumerate_dominant_by_sum will list.
+DOMINANT_ENUMERATION_BOUND = 1_000_000
 
 
 class Dominance(enum.Enum):
@@ -66,21 +70,8 @@ def dominant_representative(mu: Weight):
     representative: rep = s_{w[-1]}(... s_{w[0]}(mu) ...).
     """
     datum = mu.datum
-    n = datum.rank
-    alpha = datum.simple_root_coords
-    c = list(mu.coords)
-    word = []
-    while True:
-        for i in range(n):
-            if c[i] < 0:
-                ci = c[i]
-                ai = alpha[i]
-                for j in range(n):
-                    c[j] -= ci * ai[j]
-                word.append(i)
-                break
-        else:
-            return Weight(tuple(c), datum), tuple(word)
+    rep, word = dominant_rep(mu.coords, datum.simple_root_coords, datum.rank)
+    return Weight(rep, datum), word
 
 
 def reflect_simple(mu: Weight, i: int) -> Weight:
@@ -202,8 +193,18 @@ def is_minuscule(lam: Weight) -> bool:
 
 
 def enumerate_dominant_by_sum(datum: RootDatum, height_bound: int):
-    """Dominant weights with coordinate sum <= height_bound, sorted."""
+    """Dominant weights with coordinate sum <= height_bound, sorted.
+
+    There are C(height_bound + n, n) of them; more than
+    DOMINANT_ENUMERATION_BOUND is rejected before any is listed.
+    """
     n = datum.rank
+    count = math.comb(height_bound + n, n) if height_bound >= 0 else 0
+    if count > DOMINANT_ENUMERATION_BOUND:
+        raise ResourceLimitError(
+            f"{datum.name} has {count} dominant weights with coordinate sum <= "
+            f"{height_bound}, exceeding the enumeration bound {DOMINANT_ENUMERATION_BOUND}"
+        )
     out = []
 
     def rec(prefix, remaining):

@@ -64,6 +64,38 @@ def orbit_oracle(datum, coords):
     return seen
 
 
+def parabolic_order_oracle(datum, support):
+    """|W_J| as the size of the W_J-orbit of rho, which is regular, found by
+    closing rho under the simple reflections in J."""
+    start = (1,) * datum.rank
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for mu in frontier:
+            for i in support:
+                ref = reflect(datum, mu, i)
+                if ref not in seen:
+                    seen.add(ref)
+                    new.append(ref)
+        frontier = new
+    return len(seen)
+
+
+def positive_roots_oracle(datum):
+    """Positive roots as the reflection closure of the simple roots, keeping
+    those with nonnegative coefficients, sorted by (height, coords)."""
+    roots = set()
+    for a in datum.simple_root_coords:
+        roots |= orbit_oracle(datum, a)
+    keyed = []
+    for c in roots:
+        cf = root_coefficients_oracle(datum, c)
+        if all(x >= 0 for x in cf):
+            keyed.append((sum(cf), c))
+    return tuple(c for _, c in sorted(keyed))
+
+
 def dominant_rep_oracle(datum, coords):
     doms = [c for c in orbit_oracle(datum, coords) if all(x >= 0 for x in c)]
     assert len(doms) == 1

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 from liespectra.cli import run
 
@@ -149,6 +151,21 @@ def test_resource_rejection_exits_three(capsys):
     )
     assert code == 3
     assert "resource limit" in err
+
+
+def test_levels_rejects_huge_bound_before_enumerating():
+    # A child process, so a regression that enumerates the ~2.6e19 candidates
+    # is killed by the timeout instead of hanging the suite.
+    script = (
+        "import time; from liespectra.cli import run; t = time.perf_counter(); "
+        "code = run(['levels', '--family', 'E', '--rank', '8', '--bound', '1000']); "
+        "print(code, time.perf_counter() - t)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=10)
+    code, elapsed = proc.stdout.split()
+    assert code == "3" and "resource limit" in proc.stderr
+    assert float(elapsed) < 1.0
 
 
 def test_info_command(capsys):

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+
+import oracle_helpers as oh
 
 from liespectra import (
     UnsupportedRootSystemError,
@@ -212,7 +215,41 @@ def test_weyl_orders():
     assert build_root_datum("D", 4).weyl_order() == 192
     assert build_root_datum("G", 2).weyl_order() == 12
     assert build_root_datum("F", 4).weyl_order() == 1152
+    assert build_root_datum("E", 7).weyl_order() == 2903040
     assert build_root_datum("E", 8).weyl_order() == 696729600
+
+
+# Every type with |W| <= 51,840 (the order of W(E6)).
+SMALL_WEYL_GROUPS = (
+    [f"A{n}" for n in range(1, 8)]
+    + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(2, 7)]
+    + ["D4", "D5", "D6", "E6", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", SMALL_WEYL_GROUPS)
+def test_parabolic_orders_match_orbit_oracle(name):
+    datum = parse_group(name)
+    for k in range(datum.rank + 1):
+        for support in itertools.combinations(range(datum.rank), k):
+            assert datum.weyl_order(support) == oh.parabolic_order_oracle(datum, support), support
+    assert datum.weyl_order() == datum.weyl_order(range(datum.rank)) <= 51840
+
+
+RANK_AT_MOST_8 = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_8)
+def test_positive_roots_match_reflection_closure(name):
+    datum = parse_group(name)
+    assert tuple(r.coords for r in datum.positive_roots) == oh.positive_roots_oracle(datum)
 
 
 def test_parabolic_orders():
@@ -229,6 +266,14 @@ def test_parabolic_orders():
 
 def test_datum_caching_and_b2_c2_distinct_maps():
     assert build_root_datum("A", 3) is build_root_datum("A", 3)
+    assert build_root_datum("a", 3) is build_root_datum("A", 3)
     b2, c2 = build_root_datum("B", 2), build_root_datum("C", 2)
     assert epsilon_values(b2, b2.fundamental_weight(2)) == (Fraction(1, 2), Fraction(1, 2))
     assert epsilon_values(c2, c2.fundamental_weight(2)) == (1, 1)
+
+
+def test_bool_rank_rejected_without_poisoning_the_cache():
+    with pytest.raises(UnsupportedRootSystemError):
+        build_root_datum("A", True)
+    a1 = build_root_datum("A", 1)
+    assert a1.name == "A1" and a1.rank == 1 and type(a1.rank) is int

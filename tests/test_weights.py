@@ -103,8 +103,13 @@ def test_dominant_representative_random(name):
     rng = random.Random(5)
     for _ in range(20):
         mu = datum.weight(tuple(rng.randrange(-3, 4) for _ in range(datum.rank)))
-        rep, _ = dominant_representative(mu)
+        rep, word = dominant_representative(mu)
         assert rep.coords == oh.dominant_rep_oracle(datum, mu.coords)
+        cur = mu.coords
+        for i in word:
+            assert cur[i] < 0 and all(c >= 0 for c in cur[:i])  # first negative coordinate
+            cur = oh.reflect(datum, cur, i)
+        assert cur == rep.coords
 
 
 def test_weyl_orbit_examples():
