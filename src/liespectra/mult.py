@@ -117,7 +117,7 @@ def freudenthal_multiplicities(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) 
     doms, mults = kernels.freudenthal(
         datum.rank,
         datum.simple_root_coords,
-        tuple(r.coords for r in datum.positive_roots),
+        datum.positive_root_coords,
         datum.coroot_pairings,
         datum.root_half_lengths,
         datum.cartan_t_adj,

@@ -180,34 +180,35 @@ class RootDatum:
 
         self.rho = Weight((1,) * n, self)
         self.simple_roots = tuple(Weight(c, self) for c in self.simple_root_coords)
-        self.positive_roots = self._generate_positive_roots()
+        # Per positive root, in order of height: simple-root coefficients,
+        # omega-coordinates and (alpha, alpha)/2.
+        roots = self._generate_positive_roots()
         expected = POSITIVE_ROOT_COUNTS[family](rank)
-        if len(self.positive_roots) != expected:
+        if len(roots) != expected:
             raise AssertionError(
-                f"{self.name}: built {len(self.positive_roots)} positive roots, expected {expected}"
+                f"{self.name}: built {len(roots)} positive roots, expected {expected}"
             )
+        self.positive_root_coords = tuple(coords for _, coords, _ in roots)
+        self.positive_roots = tuple(Weight(coords, self) for coords in self.positive_root_coords)
+        self.root_half_lengths = tuple(half for _, _, half in roots)
 
-        self.highest_root = self._dominance_max(self.positive_roots)
-        short = [r for r in self.positive_roots if self.root_length_half(r) == 1]
-        self.highest_short_root = self._dominance_max(short)
+        # The highest root is the unique root of greatest height, and the
+        # highest short root the unique short root of greatest height
+        # (Bourbaki, Lie VI 1.8; Humphreys, Lie Algebras 10.4).
+        self.highest_root = self.positive_roots[-1]
+        short = [r for r, half in zip(self.positive_roots, self.root_half_lengths) if half == 1]
+        self.highest_short_root = short[-1]
 
-        # Pairing data per positive root: coroot pairing vector and (alpha,alpha)/2;
-        # height and simple-root support for weyl_order.
-        pairs = []
-        heights_supports = []
-        for r in self.positive_roots:
-            c = self.root_coefficients(r)
-            heights_supports.append((sum(c), frozenset(i for i in range(n) if c[i])))
-            d_alpha = self.root_length_half(r)
-            vec = []
-            for i in range(n):
-                val = Fraction(c[i] * self._d[i], d_alpha)
-                assert val.denominator == 1
-                vec.append(int(val))
-            pairs.append(tuple(vec))
-        self.coroot_pairings = tuple(pairs)
-        self._root_heights_supports = tuple(heights_supports)
-        self.root_half_lengths = tuple(self.root_length_half(r) for r in self.positive_roots)
+        # Per positive root: the coroot pairings <omega_i, alpha^vee> =
+        # c_i (alpha_i, alpha_i) / (alpha, alpha), integers since alpha^vee
+        # lies in the coroot lattice; height and support for weyl_order.
+        self.coroot_pairings = tuple(
+            tuple(c[i] * self._d[i] // half for i in range(n)) for c, _, half in roots
+        )
+        self._root_heights_supports = tuple(
+            (sum(c), frozenset(i for i in range(n) if c[i])) for c, _, _ in roots
+        )
+        self._indices = frozenset(range(n))
         self._weyl_orders = {}
 
         self.epsilon_map = self._fw_eps if family in "ABCD" else None
@@ -216,22 +217,24 @@ class RootDatum:
 
     def _generate_positive_roots(self):
         # Every root is W-conjugate to a simple root, so the roots are the
-        # W-orbits of the simple roots (at most two: one per root length).
-        roots = set()
-        for a in self.simple_root_coords:
-            if a not in roots:
-                roots.update(kernels.weyl_orbit(self.rank, self.simple_root_coords, a))
+        # W-orbits of the simple roots (at most two: one per root length),
+        # and each root has the length of the simple root it came from.
+        half_lengths = {}
+        for a, half in zip(self.simple_root_coords, self._d):
+            if a not in half_lengths:
+                half_lengths.update(
+                    dict.fromkeys(kernels.weyl_orbit(self.rank, self.simple_root_coords, a), half)
+                )
         positive = []
-        for coords in roots:
+        for coords, half in half_lengths.items():
             cf = self._coefficients(coords)
             if all(x >= 0 for x in cf):
-                positive.append((sum(cf), coords))
+                positive.append((sum(cf), coords, cf, half))
         # Sort by height then lexicographically, for reproducible reports.
         positive.sort()
-        return tuple(Weight(coords, self) for _, coords in positive)
+        return [(cf, coords, half) for _, coords, cf, half in positive]
 
     def _coefficients(self, coords):
-        n = self.rank
         det = self.cartan_det
         vals = vec_mat(coords, self.cartan_t_adj)
         cf = []
@@ -240,20 +243,6 @@ class RootDatum:
                 return None
             cf.append(v // det)
         return tuple(cf)
-
-    def _dominance_max(self, roots):
-        from . import weights as _w  # local import to avoid a cycle
-
-        best = roots[0]
-        for r in roots[1:]:
-            cmp = _w.dominance_compare(r, best)
-            if cmp is _w.Dominance.FIRST_SUCCEEDS:
-                best = r
-        for r in roots:
-            if r != best:
-                cmp = _w.dominance_compare(best, r)
-                assert cmp is _w.Dominance.FIRST_SUCCEEDS
-        return best
 
     # -- public helpers --------------------------------------------------------
 
@@ -284,11 +273,6 @@ class RootDatum:
                         total += a * b * self.form_matrix[i][j]
         return total
 
-    def root_length_half(self, root):
-        val = self.form(root, root) / 2
-        assert val.denominator == 1
-        return int(val)
-
     def weyl_order(self, support=None):
         """Order of the Weyl group, or of the parabolic generated by the
         simple reflections in ``support`` (an iterable of 0-based indices).
@@ -297,10 +281,17 @@ class RootDatum:
         r_h of them have height h, the exponents m_1..m_|J| of W_J are the
         dual partition, m_k = #{h : r_h >= k}, and |W_J| = prod (m_k + 1)
         (Kostant; Humphreys, Reflection Groups and Coxeter Groups, 3.9, 3.20).
+        An index outside 0..rank-1 raises ValueError.
         """
         key = frozenset(range(self.rank) if support is None else support)
         order = self._weyl_orders.get(key)
         if order is None:
+            # Only valid supports are memoized, so every bad one reaches this.
+            if not key <= self._indices:
+                raise ValueError(
+                    f"simple-root indices {set(key - self._indices)} out of range "
+                    f"0..{self.rank - 1} for {self.name}"
+                )
             per_height = Counter(h for h, s in self._root_heights_supports if s <= key)
             order = 1
             for k in range(1, per_height[1] + 1):

@@ -5,9 +5,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from operator import mul
 
 from .exceptions import DatumMismatchError
 from .mult import DEFAULT_DIM_BOUND, WeightMultiset, freudenthal_multiplicities
@@ -74,34 +71,22 @@ def spectrum(s: TorusElement, lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -
 def spectrum_of_multiset(s: TorusElement, multiset: WeightMultiset) -> Spectrum:
     """Spectrum of s on the weights of the multiset.
 
-    Values are accumulated on integer keys (t mod D, free part), where D is
-    the least common denominator of the assignment torsions and t the
-    torsion numerator over D; one ValueGroupElement is built per distinct
-    value.  The result equals ``Spectrum.from_dict`` of the sum of
-    ``evaluate`` over the weights.
+    Multiplicities are accumulated on the integer value keys of s, and one
+    ValueGroupElement is built per distinct value.  The result equals
+    ``Spectrum.from_dict`` of the sum of ``evaluate`` over the weights.
     """
     datum = s.datum
-    D = lcm(*(v.torsion.denominator for v in s.assignments))
-    # Row i of the evaluation matrix is the value of omega_i as integers:
-    # its torsion numerator over D, then its free part.
-    columns = tuple(zip(*(
-        (v.torsion.numerator * (D // v.torsion.denominator),) + v.free
-        for v in s.assignments
-    )))
-    tcol, fcols = columns[0], columns[1:]
+    value_key = s.value_key
     acc = {}
     for w, m in multiset.entries.items():
         if w.datum is not datum:
             raise DatumMismatchError("weight bound to a different datum than the torus element")
-        c = w.coords
-        key = (sum(map(mul, c, tcol)) % D, tuple([sum(map(mul, c, col)) for col in fcols]))
+        key = value_key(w.coords)
         acc[key] = acc.get(key, 0) + m
-    # t / D orders as t does, so the integer keys sort in the canonical order.
-    # The list is built first because tuple() over a generator grows by
-    # reallocation, which left the heap measurably larger over many calls.
-    entries = tuple([
-        (ValueGroupElement(Fraction(t, D), free), m) for (t, free), m in sorted(acc.items())
-    ])
+    # The keys sort in the canonical value order.  The list is built first
+    # because tuple() over a generator grows by reallocation, which left the
+    # heap measurably larger over many calls.
+    entries = tuple([(s.key_value(key), m) for key, m in sorted(acc.items())])
     return Spectrum(entries, (s.label, str(multiset.highest)), multiset.validity)
 
 

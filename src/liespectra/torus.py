@@ -16,12 +16,16 @@ import random
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .exceptions import DatumMismatchError, UnsupportedRootSystemError
 from .linalg import hermite_normal_form, smith_normal_form
 from .rootdata import RootDatum, Weight
 
-DEFAULT_TORSION_ORDERS = (1, 2, 3, 4)
+# Stratum elements are decorated with roots of unity of order at most this.
+MAX_TORSION_ORDER = 4
+DEFAULT_TORSION_ORDERS = tuple(range(1, MAX_TORSION_ORDER + 1))
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,12 @@ def default_generator_names(k):
 @dataclass(frozen=True)
 class TorusElement:
     """Homomorphism from the weight lattice into the value group, given by
-    one value per fundamental weight."""
+    one value per fundamental weight.
+
+    Characters are evaluated in integers, on columns built once: with D the
+    least common denominator of the torsions, omega_i has torsion t_i / D
+    and free part f_i, and the character c has the value key
+    (sum c_i t_i mod D, sum c_i f_i)."""
 
     datum: RootDatum
     assignments: tuple  # one ValueGroupElement per fundamental weight
@@ -124,10 +133,30 @@ class TorusElement:
             object.__setattr__(self, "gen_names", default_generator_names(k))
         if self.gen_denoms is None:
             object.__setattr__(self, "gen_denoms", (1,) * k)
+        denom = lcm(*(v.torsion.denominator for v in self.assignments))
+        object.__setattr__(self, "_denom", denom)
+        object.__setattr__(self, "_tcol", tuple(
+            v.torsion.numerator * (denom // v.torsion.denominator) for v in self.assignments
+        ))
+        object.__setattr__(self, "_fcols", tuple(zip(*(v.free for v in self.assignments))))
+        object.__setattr__(self, "identity_key", (0, (0,) * k))
 
     @property
     def free_rank(self):
         return len(self.assignments[0].free) if self.assignments else 0
+
+    def value_key(self, coords):
+        """Integer key of the value of the character with these
+        omega-coordinates.  Keys sort in the canonical value order (t / D
+        orders as t does), and ``key_value`` turns a key into its value."""
+        return (
+            sum(map(mul, coords, self._tcol)) % self._denom,
+            tuple([sum(map(mul, coords, col)) for col in self._fcols]),
+        )
+
+    def key_value(self, key):
+        t, free = key
+        return ValueGroupElement(Fraction(t, self._denom), free)
 
     def render_value(self, v):
         return v.render(self.gen_names, self.gen_denoms)
@@ -148,35 +177,23 @@ def evaluate(s: TorusElement, mu: Weight) -> ValueGroupElement:
     """Value of the character mu at s (Z-linear in mu)."""
     if mu.datum is not s.datum:
         raise DatumMismatchError("weight bound to a different datum than the torus element")
-    k = s.free_rank
-    t = Fraction(0)
-    free = [0] * k
-    for c, v in zip(mu.coords, s.assignments):
-        if c:
-            t += c * v.torsion
-            for j in range(k):
-                free[j] += c * v.free[j]
-    return ValueGroupElement(t % 1, tuple(free))
+    return s.key_value(s.value_key(mu.coords))
 
 
 def is_regular(s: TorusElement) -> bool:
     """True iff no root evaluates to the identity at s."""
-    return all(not evaluate(s, r).is_identity for r in s.datum.positive_roots)
+    return s.identity_key not in map(s.value_key, s.datum.positive_root_coords)
 
 
 def is_central(s: TorusElement) -> bool:
     """True iff every simple root evaluates to the identity at s."""
-    return all(evaluate(s, a).is_identity for a in s.datum.simple_roots)
+    return all(s.value_key(a) == s.identity_key for a in s.datum.simple_root_coords)
 
 
 def separates_weights(s: TorusElement, weight_set) -> bool:
     """True iff evaluation at s is injective on the given set of weights."""
-    values = set()
-    count = 0
-    for w in set(weight_set):
-        values.add(evaluate(s, w).sort_key())
-        count += 1
-    return len(values) == count
+    weights = set(weight_set)
+    return len({evaluate(s, w) for w in weights}) == len(weights)
 
 
 # -- strata -------------------------------------------------------------------
@@ -267,10 +284,10 @@ def generic_regular_element(datum: RootDatum) -> TorusElement:
     return generic_stratum_element(StratumSpec(datum, ()), seed=0)
 
 
-def stratum_torsion_decorations(spec: StratumSpec, max_order: int = 4):
+def stratum_torsion_decorations(spec: StratumSpec):
     """All torsion-choice maps for the stratum's torsion quotient generators
-    with values of multiplicative order <= max_order (the trivial map
-    first)."""
+    with values of multiplicative order <= MAX_TORSION_ORDER (the trivial
+    map first)."""
     d, _, _ = spec._snf()
     slots = [i for i in range(len(d)) if d[i] > 1]
     per_slot = []
@@ -278,7 +295,7 @@ def stratum_torsion_decorations(spec: StratumSpec, max_order: int = 4):
         vals = []
         for num in range(d[slot]):
             t = Fraction(num, d[slot])
-            if t == 0 or t.denominator <= max_order:
+            if t == 0 or t.denominator <= MAX_TORSION_ORDER:
                 vals.append(t)
         per_slot.append(vals)
     out = []
@@ -306,7 +323,7 @@ def canonical_root_strata(datum: RootDatum, depth: int):
         raise ValueError("stratum depth must be >= 1")
     n = datum.rank
     alpha = datum.simple_root_coords
-    pos = [r.coords for r in datum.positive_roots]
+    pos = datum.positive_root_coords
 
     def w_orbit(start):
         seen = {start}

@@ -27,6 +27,7 @@ from .spectra import (
 )
 from .torus import (
     EpsilonToken,
+    MAX_TORSION_ORDER,
     StratumSpec,
     TorusElement,
     ValueGroupElement,
@@ -44,8 +45,10 @@ from .weights import level_sets, is_radical
 
 SWEEP_SCOPE_NOTE = (
     "evidence at characteristic 0 from generic stratum elements with torsion "
-    "decorations of order <= 4; not exhaustive over the full torus"
+    f"decorations of order <= {MAX_TORSION_ORDER}; not exhaustive over the full torus"
 )
+# Coordinate-sum bound of the weights a level table is checked over.
+LEVEL_TABLE_BOUND = 6
 
 
 @dataclass
@@ -116,7 +119,7 @@ def _fmt_weights(ws):
 # -- level tables ---------------------------------------------------------------
 
 
-def verify_level_table(family: str, rank: int, height_bound: int = 6) -> VerificationReport:
+def verify_level_table(family: str, rank: int) -> VerificationReport:
     """Compare computed level-1/level-2 sets (and the radical part of level 3
     where a reference is available) against the reference table."""
     rec = _Recorder(f"level-table:{family}{rank}")
@@ -126,7 +129,7 @@ def verify_level_table(family: str, rank: int, height_bound: int = 6) -> Verific
                   actual=f"{family}{rank} has no level reference")
         return rec.report()
     datum = build_root_datum(family, rank)
-    assignments = level_sets(datum, 3, height_bound)
+    assignments = level_sets(datum, 3, LEVEL_TABLE_BOUND)
     computed = {1: set(), 2: set(), 3: set()}
     for a in assignments:
         computed[a.level].add(a.weight)
@@ -335,15 +338,15 @@ def enumerate_modules(datum: RootDatum, dim_bound: int, include_zero=False):
     return out
 
 
-def sweep_elements(datum: RootDatum, depth: int, seed: int, max_order: int = 4):
+def sweep_elements(datum: RootDatum, depth: int, seed: int):
     """Deduplicated generic elements of the canonical root-kernel strata up
-    to the given depth, with every torsion decoration of order <= max_order;
-    only non-regular non-central elements are returned."""
+    to the given depth, with every torsion decoration of order <=
+    MAX_TORSION_ORDER; only non-regular non-central elements are returned."""
     out = []
     seen = set()
     for kernel in canonical_root_strata(datum, depth):
         base = StratumSpec(datum, kernel)
-        for decoration in stratum_torsion_decorations(base, max_order):
+        for decoration in stratum_torsion_decorations(base):
             spec = StratumSpec(datum, kernel, decoration)
             s = generic_stratum_element(spec, seed)
             if is_regular(s) or is_central(s):

@@ -74,16 +74,6 @@ def dominant_representative(mu: Weight):
     return Weight(rep, datum), word
 
 
-def reflect_simple(mu: Weight, i: int) -> Weight:
-    """Simple reflection s_i(mu) = mu - <mu, alpha_i^vee> alpha_i."""
-    datum = mu.datum
-    ci = mu.coords[i]
-    if ci == 0:
-        return mu
-    ai = datum.simple_root_coords[i]
-    return Weight(tuple(c - ci * a for c, a in zip(mu.coords, ai)), datum)
-
-
 def orbit_size(mu: Weight) -> int:
     """Exact Weyl orbit size from the stabilizer of the dominant
     representative (a parabolic subgroup)."""
@@ -118,7 +108,7 @@ def subdominant_weights(lam: Weight):
     coords = kernels.dominant_subdominants(
         datum.rank,
         datum.simple_root_coords,
-        tuple(r.coords for r in datum.positive_roots),
+        datum.positive_root_coords,
         datum.cartan_t_adj,
         datum.cartan_det,
         lam.coords,
@@ -162,7 +152,7 @@ def weight_level(lam: Weight) -> int:
         raise ValueError(f"weight level needs a dominant weight, got {lam}")
     datum = lam.datum
     cache = _LEVEL_CACHE.setdefault(id(datum), {})
-    roots = tuple(r.coords for r in datum.positive_roots)
+    roots = datum.positive_root_coords
     below = {}  # coords -> dominant coords one positive root lower
     stack = [lam.coords]
     while stack:
@@ -196,10 +186,13 @@ def enumerate_dominant_by_sum(datum: RootDatum, height_bound: int):
     """Dominant weights with coordinate sum <= height_bound, sorted.
 
     There are C(height_bound + n, n) of them; more than
-    DOMINANT_ENUMERATION_BOUND is rejected before any is listed.
+    DOMINANT_ENUMERATION_BOUND is rejected before any is listed, and a
+    negative bound raises ValueError.
     """
+    if height_bound < 0:
+        raise ValueError(f"coordinate-sum bound must be >= 0, got {height_bound}")
     n = datum.rank
-    count = math.comb(height_bound + n, n) if height_bound >= 0 else 0
+    count = math.comb(height_bound + n, n)
     if count > DOMINANT_ENUMERATION_BOUND:
         raise ResourceLimitError(
             f"{datum.name} has {count} dominant weights with coordinate sum <= "

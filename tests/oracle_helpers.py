@@ -3,7 +3,8 @@
 These deliberately avoid the library's production code paths: dominance is
 decided by Fraction-valued Gaussian elimination, weight sets by the
 simple-root downward closure over all intermediate weights, multiplicities
-by the alternating Kostant partition-function sum over the full Weyl group.
+by the alternating Kostant partition-function sum over the full Weyl group,
+characters by summing Fractions over the fundamental weights.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from liespectra.linalg import hermite_normal_form
+from liespectra.torus import ValueGroupElement
 
 
 def root_coefficients_oracle(datum, coords):
@@ -40,6 +42,20 @@ def leq_oracle(datum, mu, lam):
     diff = tuple(a - b for a, b in zip(lam, mu))
     coeffs = root_coefficients_oracle(datum, diff)
     return coeffs is not None and all(c >= 0 for c in coeffs)
+
+
+def evaluate_oracle(s, mu):
+    """Value of the character mu at the torus element s: the sum over i of
+    mu_i times the value of omega_i, torsion added as Fractions mod 1."""
+    k = s.free_rank
+    t = Fraction(0)
+    free = [0] * k
+    for c, v in zip(mu.coords, s.assignments):
+        if c:
+            t += c * v.torsion
+            for j in range(k):
+                free[j] += c * v.free[j]
+    return ValueGroupElement(t % 1, tuple(free))
 
 
 def reflect(datum, coords, i):

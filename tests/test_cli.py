@@ -153,6 +153,11 @@ def test_resource_rejection_exits_three(capsys):
     assert "resource limit" in err
 
 
+def test_levels_rejects_a_negative_bound(capsys):
+    code, out, err = invoke(capsys, "levels", "--family", "A", "--rank", "2", "--bound", "-5")
+    assert code == 2 and out == "" and "-5" in err
+
+
 def test_levels_rejects_huge_bound_before_enumerating():
     # A child process, so a regression that enumerates the ~2.6e19 candidates
     # is killed by the timeout instead of hanging the suite.

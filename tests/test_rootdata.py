@@ -33,6 +33,15 @@ POSITIVE_COUNTS = [
 ]
 
 
+RANK_AT_MOST_8 = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
 @pytest.mark.parametrize("family,rank,count", POSITIVE_COUNTS)
 def test_positive_root_counts(family, rank, count):
     datum = build_root_datum(family, rank)
@@ -83,7 +92,7 @@ def test_form_normalization_and_cartan_recovery(name):
             assert val == datum.cartan[i][j]
 
 
-@pytest.mark.parametrize("name", ["A2", "B3", "C3", "D4", "E6", "F4", "G2"])
+@pytest.mark.parametrize("name", RANK_AT_MOST_8)
 def test_highest_root_dominates_every_positive_root(name):
     datum = parse_group(name)
     for root in datum.positive_roots:
@@ -91,6 +100,14 @@ def test_highest_root_dominates_every_positive_root(name):
             Dominance.EQUAL,
             Dominance.FIRST_SUCCEEDS,
         )
+    # The highest short root dominates every short root.
+    short = [r for r in datum.positive_roots if datum.form(r, r) == 2]
+    assert datum.highest_short_root in short
+    for root in short:
+        assert dominance_compare(datum.highest_short_root, root) in (
+            Dominance.EQUAL,
+            Dominance.FIRST_SUCCEEDS,
+        ), root
 
 
 def test_e_constant_values():
@@ -237,19 +254,34 @@ def test_parabolic_orders_match_orbit_oracle(name):
     assert datum.weyl_order() == datum.weyl_order(range(datum.rank)) <= 51840
 
 
-RANK_AT_MOST_8 = (
-    [f"A{n}" for n in range(1, 9)]
-    + [f"B{n}" for n in range(2, 9)]
-    + [f"C{n}" for n in range(2, 9)]
-    + [f"D{n}" for n in range(4, 9)]
-    + ["E6", "E7", "E8", "F4", "G2"]
-)
-
-
 @pytest.mark.parametrize("name", RANK_AT_MOST_8)
 def test_positive_roots_match_reflection_closure(name):
     datum = parse_group(name)
     assert tuple(r.coords for r in datum.positive_roots) == oh.positive_roots_oracle(datum)
+    assert datum.positive_root_coords == tuple(r.coords for r in datum.positive_roots)
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_8)
+def test_root_lengths_and_coroot_pairings_match_the_form(name):
+    datum = parse_group(name)
+    for root, half, pairing in zip(datum.positive_roots, datum.root_half_lengths,
+                                   datum.coroot_pairings):
+        assert half == datum.form(root, root) / 2, root
+        # <omega_i, alpha^vee> = 2 (omega_i, alpha) / (alpha, alpha)
+        assert pairing == tuple(
+            datum.form(datum.fundamental_weight(i), root) / half
+            for i in range(1, datum.rank + 1)
+        ), root
+
+
+def test_weyl_order_rejects_indices_outside_the_rank():
+    a2 = build_root_datum("A", 2)
+    for support in ([5], [-1], [0, 2]):
+        # Twice: a rejected support must not be memoized.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                a2.weyl_order(support)
+    assert a2.weyl_order([0, 1]) == 6 and a2.weyl_order([1]) == 2
 
 
 def test_parabolic_orders():

@@ -26,6 +26,7 @@ from liespectra import (
 )
 from liespectra.spectra import SpectrumKind, classify
 from liespectra.torus import parse_epsilon_shorthand, stratum_torsion_decorations
+from liespectra.verify import sample_torus_element
 
 
 def val(torsion, free):
@@ -137,6 +138,56 @@ def test_generic_regular_element_separates_everything():
     assert is_regular(s)
     assert separates_weights(s, premet_weight_set(a2.fundamental_weight(1)))
     assert separates_weights(s, premet_weight_set(a2.weight((2, 2))))
+
+
+def _oracle_elements(datum, rng):
+    """Battery draws, plus the identity and torsion-only elements (free rank
+    0) and, for B and D, an epsilon element whose symbols are squares of the
+    internal generators (gen_denoms 2)."""
+    elements = [sample_torus_element(datum, rng) for _ in range(30)]
+    elements.append(torus_element(datum, [(0, ())] * datum.rank))
+    for _ in range(10):
+        elements.append(torus_element(
+            datum, [(Fraction(rng.randrange(12), rng.choice((1, 2, 3, 4, 6))), ())
+                    for _ in range(datum.rank)],
+        ))
+    if datum.family in "BD":
+        elements.append(torus_from_epsilon_text(datum, {"B": "-1,a,1/a^3", "D": "i,-a,b,-1/b"}[
+            datum.family]))
+    return elements
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
+def test_character_evaluation_matches_the_fraction_oracle(name):
+    datum = parse_group(name)
+    rng = random.Random(f"evaluate:{name}")
+    roots = datum.positive_roots
+    weights = (
+        list(roots) + [-r for r in roots] + [datum.zero()]
+        + [datum.fundamental_weight(i) for i in range(1, datum.rank + 1)]
+        + [datum.weight([rng.randrange(-4, 5) for _ in range(datum.rank)]) for _ in range(20)]
+    )
+    weight_sets = [premet_weight_set(datum.fundamental_weight(1)),
+                   premet_weight_set(datum.highest_root)]
+    seen = set()
+    for s in _oracle_elements(datum, rng):
+        for w in weights:
+            value = evaluate(s, w)
+            assert value == oh.evaluate_oracle(s, w) and type(value.torsion) is Fraction, (s, w)
+        regular = all(not oh.evaluate_oracle(s, r).is_identity for r in roots)
+        central = all(oh.evaluate_oracle(s, a).is_identity for a in datum.simple_roots)
+        assert is_regular(s) == regular and is_central(s) == central, s
+        for ws in weight_sets:
+            separates = len({oh.evaluate_oracle(s, w) for w in ws}) == len(ws)
+            assert separates_weights(s, ws) == separates, s
+            seen.add(("separates", separates))
+        seen.update([("regular", regular), ("central", central), ("free rank", s.free_rank > 0)])
+        if 2 in s.gen_denoms:
+            seen.add("gen_denoms 2")
+    # Both outcomes of every predicate, and both free ranks, were exercised.
+    assert {(key, flag) for key in ("regular", "central", "separates", "free rank")
+            for flag in (True, False)} <= seen
+    assert ("gen_denoms 2" in seen) == (datum.family in "BD")
 
 
 def test_single_root_stratum_of_sl4():

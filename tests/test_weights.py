@@ -84,12 +84,10 @@ def test_dominant_representative_examples():
     rep, word = dominant_representative(mu)
     assert rep.coords == oh.dominant_rep_oracle(a2, mu.coords)
     # Applying the word reproduces the representative.
-    from liespectra.weights import reflect_simple
-
-    cur = mu
+    cur = mu.coords
     for i in word:
-        cur = reflect_simple(cur, i)
-    assert cur == rep
+        cur = oh.reflect(a2, cur, i)
+    assert cur == rep.coords
 
     b2 = build_root_datum("B", 2)
     mu = b2.weight((0, -1))
