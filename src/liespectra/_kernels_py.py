@@ -2,13 +2,13 @@
 closures, Weyl orbits and the Freudenthal recursion.
 
 The compiled twin (_kernels_c) implements dominant_subdominants, weyl_orbit,
-orbit_expand and freudenthal with the same signatures; `liespectra.kernels`
-picks a backend for those four at import time.  dominant_rep exists only
-here and is the package's one dominant-representative loop.  All inputs are
-plain ints and tuples so both backends are interchangeable.  The twin's
-Freudenthal kernel still walks every alpha-string to its top instead of
-stopping at the first dominant weight (see `freudenthal`); it must return
-output identical to this one.
+orbit_expand and freudenthal with the same signatures and identical output,
+sorted orbits included; `liespectra.kernels` picks a backend for those four
+at import time, on plain int and tuple inputs.  dominant_rep exists only
+here and is the package's one dominant-representative loop.  The twin still
+walks every alpha-string to its top (see `freudenthal`) and lists each orbit
+by a breadth-first search with a seen-set, where this module walks it as a
+tree (see `_orbit`).
 
 Argument conventions:
     n         rank
@@ -82,31 +82,35 @@ def dominant_subdominants(n, alpha, posroots, adj, det, lam):
     return sorted(seen, key=lambda m: (_deficit(lam, m, adj, det, n), m))
 
 
+def _orbit(n, alpha, start):
+    """The Weyl orbit of start, each weight once, in no fixed order.
+
+    The parent of a non-dominant nu is s_i nu for i the first negative
+    coordinate of nu (dominant_rep's step), so the orbit is a tree rooted at
+    its dominant weight.  Reverse search (Avis-Fukuda) walks it down: a child
+    s_i mu of mu (mu_i > 0, so the child's i-th coordinate is negative) is
+    kept iff the child's coordinates before i are all >= 0.
+    """
+    out = [dominant_rep(start, alpha, n)[0]]
+    for mu in out:
+        for i, ci in enumerate(mu):
+            if ci > 0:
+                child = tuple([a - ci * b for a, b in zip(mu, alpha[i])])
+                if i == 0 or min(child[:i]) >= 0:
+                    out.append(child)
+    return out
+
+
 def weyl_orbit(n, alpha, start):
     """Full Weyl orbit of a weight, lexicographically sorted."""
-    seen = {tuple(start)}
-    frontier = [tuple(start)]
-    while frontier:
-        new = []
-        for mu in frontier:
-            for i in range(n):
-                ci = mu[i]
-                if ci == 0:
-                    continue
-                ai = alpha[i]
-                ref = tuple(mu[j] - ci * ai[j] for j in range(n))
-                if ref not in seen:
-                    seen.add(ref)
-                    new.append(ref)
-        frontier = new
-    return sorted(seen)
+    return sorted(_orbit(n, alpha, start))
 
 
 def orbit_expand(n, alpha, reps, mults):
     """Expand multiplicities from dominant representatives to full orbits."""
     out = {}
     for rep, m in zip(reps, mults):
-        for w in weyl_orbit(n, alpha, rep):
+        for w in _orbit(n, alpha, rep):
             out[w] = m
     return out
 

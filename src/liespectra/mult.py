@@ -94,13 +94,11 @@ def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):
         raise ResourceLimitError(
             f"weight set of {lam} has {total} elements, exceeding the orbit bound {orbit_bound}"
         )
-    out = set()
-    for m in doms:
-        out.update(
-            Weight(c, datum)
-            for c in kernels.weyl_orbit(datum.rank, datum.simple_root_coords, m.coords)
-        )
-    return frozenset(out)
+    return frozenset(
+        Weight(c, datum)
+        for m in doms
+        for c in kernels.weyl_orbit(datum.rank, datum.simple_root_coords, m.coords)
+    )
 
 
 def freudenthal_multiplicities(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -> WeightMultiset:

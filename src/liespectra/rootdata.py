@@ -210,6 +210,7 @@ class RootDatum:
         )
         self._indices = frozenset(range(n))
         self._weyl_orders = {}
+        self._levels = {}  # dominant coords -> weights.weight_level
 
         self.epsilon_map = self._fw_eps if family in "ABCD" else None
 

@@ -38,7 +38,11 @@ class ValueGroupElement:
     @staticmethod
     def make(torsion, free):
         t = Fraction(torsion) % 1
-        return ValueGroupElement(t, tuple(int(x) for x in free))
+        free = tuple(free)
+        exponents = tuple(int(x) for x in free)
+        if exponents != free:
+            raise ValueError(f"free exponents must be integers, got {list(free)}")
+        return ValueGroupElement(t, exponents)
 
     @staticmethod
     def identity(k):
@@ -516,7 +520,7 @@ def torus_from_json(datum: RootDatum, payload, label="") -> TorusElement:
             ValueGroupElement.make(Fraction(item.get("torsion", "0")), item.get("free", []))
             for item in raw
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad torus element JSON: {exc}") from None
     k = max((len(v.free) for v in vals), default=0)
     vals = [ValueGroupElement(v.torsion, v.free + (0,) * (k - len(v.free))) for v in vals]

@@ -313,7 +313,9 @@ def verify_witness_elements() -> VerificationReport:
 
 def enumerate_modules(datum: RootDatum, dim_bound: int, include_zero=False):
     """Dominant weights with Weyl dimension within the bound, sorted by
-    (dimension, coordinates)."""
+    (dimension, coordinates).  A negative bound raises ValueError."""
+    if dim_bound < 0:
+        raise ValueError(f"dimension bound must be >= 0, got {dim_bound}")
     n = datum.rank
     out = []
     coords = [0] * n
@@ -527,6 +529,8 @@ def verify_natural_module_regularity(
     second fundamental weight."""
     if family not in "ABCD":
         raise ValueError("natural-module checks are defined for families A-D")
+    if samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
     rec = _Recorder(f"natural:{family}{rank}:samples={samples}:seed={seed}")
     datum = build_root_datum(family, rank)
     rng = random.Random(seed)

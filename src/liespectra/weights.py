@@ -78,8 +78,8 @@ def orbit_size(mu: Weight) -> int:
     """Exact Weyl orbit size from the stabilizer of the dominant
     representative (a parabolic subgroup)."""
     datum = mu.datum
-    rep, _ = dominant_representative(mu)
-    support = [i for i, c in enumerate(rep.coords) if c == 0]
+    rep, _ = dominant_rep(mu.coords, datum.simple_root_coords, datum.rank)
+    support = [i for i, c in enumerate(rep) if c == 0]
     return datum.weyl_order() // datum.weyl_order(support)
 
 
@@ -135,9 +135,6 @@ def minimal_nonzero_subdominant(lam: Weight):
     return tuple(sorted(minimal, key=lambda w: w.coords))
 
 
-_LEVEL_CACHE: dict = {}
-
-
 def weight_level(lam: Weight) -> int:
     """Level of a dominant weight: 1 + the longest chain of dominant weights
     strictly below it in the dominance order.
@@ -146,12 +143,12 @@ def weight_level(lam: Weight) -> int:
     through dominant weights, so the longest chain satisfies the local
     recursion over lam - beta for positive roots beta.  The recursion is
     unrolled onto an explicit stack, so long chains cannot exhaust the
-    interpreter's recursion limit.
+    interpreter's recursion limit.  Levels are memoized on the datum.
     """
     if not lam.is_dominant:
         raise ValueError(f"weight level needs a dominant weight, got {lam}")
     datum = lam.datum
-    cache = _LEVEL_CACHE.setdefault(id(datum), {})
+    cache = datum._levels
     roots = datum.positive_root_coords
     below = {}  # coords -> dominant coords one positive root lower
     stack = [lam.coords]

@@ -80,6 +80,27 @@ def orbit_oracle(datum, coords):
     return seen
 
 
+def weyl_orbit_oracle(n, alpha, start):
+    """Full Weyl orbit of a weight, lexicographically sorted: a breadth-first
+    search over the simple reflections with a seen-set."""
+    seen = {tuple(start)}
+    frontier = [tuple(start)]
+    while frontier:
+        new = []
+        for mu in frontier:
+            for i in range(n):
+                ci = mu[i]
+                if ci == 0:
+                    continue
+                ai = alpha[i]
+                ref = tuple(mu[j] - ci * ai[j] for j in range(n))
+                if ref not in seen:
+                    seen.add(ref)
+                    new.append(ref)
+        frontier = new
+    return sorted(seen)
+
+
 def parabolic_order_oracle(datum, support):
     """|W_J| as the size of the W_J-orbit of rho, which is regular, found by
     closing rho under the simple reflections in J."""

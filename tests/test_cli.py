@@ -158,6 +158,36 @@ def test_levels_rejects_a_negative_bound(capsys):
     assert code == 2 and out == "" and "-5" in err
 
 
+def test_spectrum_rejects_a_zero_torsion_denominator(capsys):
+    element = '{"omega_values": [{"torsion": "1/0", "free": []}]}'
+    code, out, err = invoke(
+        capsys, "spectrum", "--group", "A1", "--highest", "[1]", "--element", element
+    )
+    assert code == 2 and out == "" and "bad torus element JSON" in err
+
+
+def test_spectrum_rejects_a_fractional_free_exponent(capsys):
+    element = '{"omega_values": [{"torsion": "0", "free": [1.5]}]}'
+    code, out, err = invoke(
+        capsys, "spectrum", "--group", "A1", "--highest", "[1]", "--element", element
+    )
+    assert code == 2 and out == "" and "1.5" in err
+
+
+def test_verify_rejects_a_nonpositive_sample_count(capsys):
+    code, out, err = invoke(
+        capsys, "verify", "--check", "natural", "--family", "A", "--rank", "2", "--samples", "-1"
+    )
+    assert code == 2 and out == "" and "-1" in err
+
+
+def test_verify_rejects_a_negative_dimension_bound(capsys):
+    code, out, err = invoke(
+        capsys, "verify", "--check", "c99", "--family", "A", "--rank", "2", "--dim-bound", "-5"
+    )
+    assert code == 2 and out == "" and "-5" in err
+
+
 def test_levels_rejects_huge_bound_before_enumerating():
     # A child process, so a regression that enumerates the ~2.6e19 candidates
     # is killed by the timeout instead of hanging the suite.
