@@ -8,7 +8,10 @@ at import time, on plain int and tuple inputs.  dominant_rep exists only
 here and is the package's one dominant-representative loop.  The twin still
 walks every alpha-string to its top (see `freudenthal`) and lists each orbit
 by a breadth-first search with a seen-set, where this module walks it as a
-tree (see `_orbit`).
+tree (see `_orbit`): each listed weight carries the index of its first
+negative coordinate, so a child is tested against that index before it is
+built, and a reflection updates only the reflected coordinate and its Dynkin
+neighbours.
 
 Argument conventions:
     n         rank
@@ -23,6 +26,8 @@ Argument conventions:
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def dominant_rep(coords, alpha, n):
@@ -82,6 +87,20 @@ def dominant_subdominants(n, alpha, posroots, adj, det, lam):
     return sorted(seen, key=lambda m: (_deficit(lam, m, adj, det, n), m))
 
 
+@lru_cache(maxsize=64)
+def _neighbours(alpha):
+    """(near, later): near[i] lists (j, alpha[i][j]) over the Dynkin
+    neighbours j of i, and later[i] lists (j, alpha[j][i]) over those j > i."""
+    n = len(alpha)
+    near = tuple(
+        tuple((j, a[j]) for j in range(n) if j != i and a[j]) for i, a in enumerate(alpha)
+    )
+    later = tuple(
+        tuple((j, alpha[j][i]) for j in range(i + 1, n) if alpha[j][i]) for i in range(n)
+    )
+    return near, later
+
+
 def _orbit(n, alpha, start):
     """The Weyl orbit of start, each weight once, in no fixed order.
 
@@ -90,14 +109,41 @@ def _orbit(n, alpha, start):
     its dominant weight.  Reverse search (Avis-Fukuda) walks it down: a child
     s_i mu of mu (mu_i > 0, so the child's i-th coordinate is negative) is
     kept iff the child's coordinates before i are all >= 0.
+
+    Each listed weight carries f, its first negative coordinate (n for the
+    dominant weight), which is the i that made it.  For i < f the child is kept
+    with no test: for j < i, mu_j >= 0 and child_j = mu_j - mu_i alpha[i][j]
+    >= mu_j.  For i > f, child_f = mu_f < 0 unless i is a neighbour of f, so
+    only those i are tried; such a child is built only if child_f >= 0, and
+    kept if its coordinates strictly between f and i are >= 0 too (those
+    before f are, by the same bound).  s_i changes only coordinate i (to
+    -mu_i) and i's Dynkin neighbours, so a child is built by updating those.
     """
+    near, later = _neighbours(alpha)
     out = [dominant_rep(start, alpha, n)[0]]
-    for mu in out:
-        for i, ci in enumerate(mu):
+    firsts = [n]
+    for mu, f in zip(out, firsts):
+        for i in range(f):
+            ci = mu[i]
             if ci > 0:
-                child = tuple([a - ci * b for a, b in zip(mu, alpha[i])])
-                if i == 0 or min(child[:i]) >= 0:
-                    out.append(child)
+                child = list(mu)
+                child[i] = -ci
+                for j, a in near[i]:
+                    child[j] -= ci * a
+                out.append(tuple(child))
+                firsts.append(i)
+        if f < n:
+            mf = mu[f]
+            for i, af in later[f]:
+                ci = mu[i]
+                if ci > 0 and mf >= ci * af:
+                    child = list(mu)
+                    child[i] = -ci
+                    for j, a in near[i]:
+                        child[j] -= ci * a
+                    if min(child[f + 1:i], default=0) >= 0:
+                        out.append(tuple(child))
+                        firsts.append(i)
     return out
 
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (and verification Pass), 1 verification Fail, 2 usage
-or input error, 3 resource-limit rejection.  JSON output is the source of
-truth; the text renderings contain the same data.
+or input error, 3 resource-limit rejection, 4 internal error (an unexpected
+exception, reported in one line).  JSON output is the source of truth; the
+text renderings contain the same data.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def _cmd_levels(args):
 
 
 def _cmd_verify(args):
-    if args.check != "witnesses" and not (args.family and args.rank):
+    if args.check != "witnesses" and (not args.family or args.rank is None):
         raise ValueError(f"check {args.check!r} needs --family and --rank")
     report = run_check(
         args.check,
@@ -296,6 +297,10 @@ def run(argv=None) -> int:
     except (UnsupportedRootSystemError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A bug, not a verdict: exit 1 would read as a verification Fail.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .exceptions import ResourceLimitError
 from .rootdata import RootDatum, Weight, e_constant
@@ -94,16 +95,16 @@ def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):
         raise ResourceLimitError(
             f"weight set of {lam} has {total} elements, exceeding the orbit bound {orbit_bound}"
         )
-    return frozenset(
-        Weight(c, datum)
-        for m in doms
-        for c in kernels.weyl_orbit(datum.rank, datum.simple_root_coords, m.coords)
-    )
+    n, alpha = datum.rank, datum.simple_root_coords
+    orbits = (kernels.weyl_orbit(n, alpha, m.coords) for m in doms)
+    return frozenset(Weight._bulk(chain.from_iterable(orbits), datum))
 
 
 def freudenthal_multiplicities(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -> WeightMultiset:
     """Characteristic-0 weight multiplicities of the irreducible module with
     highest weight lam."""
+    if dim_bound < 0:
+        raise ValueError(f"dimension bound must be >= 0, got {dim_bound}")
     if not lam.is_dominant:
         raise ValueError(f"multiplicities need a dominant weight, got {lam}")
     datum = lam.datum
@@ -125,7 +126,7 @@ def freudenthal_multiplicities(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) 
         lam.coords,
     )
     full = kernels.orbit_expand(datum.rank, datum.simple_root_coords, doms, mults)
-    entries = {Weight(c, datum): m for c, m in full.items()}
+    entries = dict(zip(Weight._bulk(full, datum), full.values()))
     return WeightMultiset(highest=lam, entries=entries, validity=validity_note(datum))
 
 

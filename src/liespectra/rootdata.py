@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,18 +46,46 @@ POSITIVE_ROOT_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
 class Weight:
-    """Integer vector in the fundamental-weight basis, bound to a datum."""
+    """Integer vector in the fundamental-weight basis, bound to a datum.
 
-    coords: tuple
-    datum: "RootDatum" = field(repr=False, compare=False)
+    Immutable: setting or deleting an attribute raises AttributeError.
+    """
 
-    def __post_init__(self):
-        if len(self.coords) != self.datum.rank:
+    __slots__ = ("coords", "datum")
+
+    def __init__(self, coords: tuple, datum: "RootDatum"):
+        if len(coords) != datum.rank:
             raise ValueError(
-                f"weight has {len(self.coords)} coordinates, datum rank is {self.datum.rank}"
+                f"weight has {len(coords)} coordinates, datum rank is {datum.rank}"
             )
+        _set_coords(self, coords)
+        _set_datum(self, datum)
+
+    @staticmethod
+    def _bulk(coords_seq, datum):
+        """Weights for kernel output, whose coordinate tuples already have
+        datum.rank entries: a list, built without the rank check."""
+        out = []
+        append = out.append
+        for coords in coords_seq:
+            w = _new(Weight)
+            _set_coords(w, coords)
+            _set_datum(w, datum)
+            append(w)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Weight, (self.coords, self.datum))
+
+    def __repr__(self):
+        return f"Weight(coords={self.coords!r})"
 
     def __hash__(self):
         return hash((self.coords, id(self.datum)))
@@ -99,6 +126,11 @@ class Weight:
 
     def __str__(self):
         return f"{self.datum.name}:[{','.join(str(c) for c in self.coords)}]"
+
+
+_new = object.__new__
+_set_coords = Weight.coords.__set__
+_set_datum = Weight.datum.__set__
 
 
 class RootDatum:
@@ -211,6 +243,7 @@ class RootDatum:
         self._indices = frozenset(range(n))
         self._weyl_orders = {}
         self._levels = {}  # dominant coords -> weights.weight_level
+        self._strata = {}  # depth -> torus.canonical_root_strata
 
         self.epsilon_map = self._fw_eps if family in "ABCD" else None
 

@@ -321,10 +321,17 @@ def canonical_root_strata(datum: RootDatum, depth: int):
     omitted since they carry no generic element.  Each stratum is keyed by
     the least Hermite normal form in its W-orbit; every orbit is enumerated
     once, and generator sets whose lattice lies in a finished orbit are
-    skipped.
+    skipped.  The strata are memoized on the datum per depth, as a tuple.
     """
     if depth < 1:
         raise ValueError("stratum depth must be >= 1")
+    strata = datum._strata.get(depth)
+    if strata is None:
+        strata = datum._strata[depth] = _root_strata(datum, depth)
+    return strata
+
+
+def _root_strata(datum, depth):
     n = datum.rank
     alpha = datum.simple_root_coords
     pos = datum.positive_root_coords
@@ -362,7 +369,7 @@ def canonical_root_strata(datum: RootDatum, depth: int):
         orbit = w_orbit(key)
         done |= orbit
         canon.append(min(orbit))
-    return [tuple(Weight(row, datum) for row in key) for key in sorted(canon)]
+    return tuple(tuple(Weight(row, datum) for row in key) for key in sorted(canon))
 
 
 # -- epsilon shorthand ---------------------------------------------------------

@@ -97,7 +97,7 @@ def weyl_orbit(mu: Weight, bound: int = DEFAULT_ORBIT_BOUND):
     datum = mu.datum
     coords = kernels.weyl_orbit(datum.rank, datum.simple_root_coords, mu.coords)
     assert len(coords) == size
-    return tuple(Weight(c, datum) for c in coords)
+    return tuple(Weight._bulk(coords, datum))
 
 
 def subdominant_weights(lam: Weight):
@@ -113,7 +113,7 @@ def subdominant_weights(lam: Weight):
         datum.cartan_det,
         lam.coords,
     )
-    return tuple(Weight(c, datum) for c in coords)
+    return tuple(Weight._bulk(coords, datum))
 
 
 def minimal_nonzero_subdominant(lam: Weight):

@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+import liespectra.cli as cli
 from liespectra.cli import run
 
 
@@ -186,6 +189,32 @@ def test_verify_rejects_a_negative_dimension_bound(capsys):
         capsys, "verify", "--check", "c99", "--family", "A", "--rank", "2", "--dim-bound", "-5"
     )
     assert code == 2 and out == "" and "-5" in err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("weights", ()),
+    ("spectrum", ("--epsilon", "a,1/a")),
+])
+def test_negative_dimension_bound_is_a_usage_error(capsys, command, extra):
+    code, out, err = invoke(
+        capsys, command, "--group", "A1", "--highest", "[1]", "--dim-bound", "-5", *extra
+    )
+    assert code == 2 and out == "" and "-5" in err and "resource limit" not in err
+
+
+def test_verify_with_rank_zero_names_the_rank(capsys):
+    code, out, err = invoke(capsys, "verify", "--check", "natural", "--family", "A", "--rank", "0")
+    assert code == 2 and out == "" and "A0" in err and "needs --family" not in err
+
+
+def test_unexpected_exception_exits_four_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise AssertionError("Freudenthal recursion produced a non-integer")
+
+    monkeypatch.setitem(cli._DISPATCH, "weights", broken)
+    code, out, err = invoke(capsys, "weights", "--group", "A2", "--highest", "[1,1]")
+    assert code == 4 and out == ""
+    assert err == "internal error: AssertionError: Freudenthal recursion produced a non-integer\n"
 
 
 def test_levels_rejects_huge_bound_before_enumerating():

@@ -168,3 +168,14 @@ def test_orbit_walk_matches_the_breadth_first_oracle(name):
         assert expanded == {**dict.fromkeys(expected, 2), zero: 1}
 
     check()
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "F4"])
+def test_regular_orbit_lists_every_element_once(name):
+    # rho has a trivial stabilizer, so every child rule of the walk is used:
+    # a duplicate or a missed element changes the count or the set.
+    datum = parse_group(name)
+    n, alpha = datum.rank, datum.simple_root_coords
+    orbit = pure._orbit(n, alpha, (1,) * n)
+    assert len(orbit) == datum.weyl_order()
+    assert sorted(orbit) == oh.weyl_orbit_oracle(n, alpha, (1,) * n)

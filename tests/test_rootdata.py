@@ -1,3 +1,4 @@
+import copy
 import itertools
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import pytest
 import oracle_helpers as oh
 
 from liespectra import (
+    DatumMismatchError,
     UnsupportedRootSystemError,
+    Weight,
     build_root_datum,
     dominance_compare,
     e_constant,
@@ -309,3 +312,39 @@ def test_bool_rank_rejected_without_poisoning_the_cache():
         build_root_datum("A", True)
     a1 = build_root_datum("A", 1)
     assert a1.name == "A1" and a1.rank == 1 and type(a1.rank) is int
+
+
+def test_weight_is_slotted_and_immutable():
+    a2 = build_root_datum("A", 2)
+    w = Weight((1, -2), a2)
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(AttributeError):
+        w.coords = (0, 0)
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    with pytest.raises(AttributeError):
+        del w.datum
+    assert w.coords == (1, -2) and w.datum is a2
+    assert repr(w) == "Weight(coords=(1, -2))"
+    assert copy.copy(w) == w and copy.copy(w).datum is a2
+
+
+def test_weight_constructor_checks_the_rank():
+    a2 = build_root_datum("A", 2)
+    with pytest.raises(ValueError, match="3 coordinates, datum rank is 2"):
+        Weight((1, 0, 0), a2)
+
+
+def test_bulk_weights_equal_checked_weights():
+    a2, b2 = build_root_datum("A", 2), build_root_datum("B", 2)
+    coords = [(1, 0), (-1, 1), (0, -1)]
+    bulk = Weight._bulk(iter(coords), a2)
+    checked = [Weight(c, a2) for c in coords]
+    assert type(bulk) is list and bulk == checked
+    assert [hash(w) for w in bulk] == [hash(w) for w in checked]
+    assert all(type(w) is Weight and w.datum is a2 for w in bulk)
+    assert bulk[0] + bulk[1] == Weight((0, 1), a2)
+    with pytest.raises(DatumMismatchError):
+        bulk[0] == Weight((1, 0), b2)
+    with pytest.raises(DatumMismatchError):
+        bulk[0] + b2.zero()

@@ -24,6 +24,7 @@ from liespectra import (
     torus_from_epsilon_text,
     torus_from_json,
 )
+from liespectra.rootdata import RootDatum
 from liespectra.spectra import SpectrumKind, classify
 from liespectra.torus import parse_epsilon_shorthand, stratum_torsion_decorations
 from liespectra.verify import sample_torus_element
@@ -270,6 +271,24 @@ def test_canonical_root_strata_counts():
     assert len(canonical_root_strata(b3, 2)) > 2
 
 
+def test_canonical_root_strata_are_memoized_per_depth(monkeypatch):
+    datum = RootDatum("B", 3)
+    first = canonical_root_strata(datum, 2)
+    assert isinstance(first, tuple) and all(isinstance(k, tuple) for k in first)
+    calls = 0
+    lattice_key = torus_module._lattice_key
+
+    def counting(rows, n):
+        nonlocal calls
+        calls += 1
+        return lattice_key(rows, n)
+
+    monkeypatch.setattr(torus_module, "_lattice_key", counting)
+    assert canonical_root_strata(datum, 2) is first and calls == 0
+    canonical_root_strata(datum, 1)
+    assert calls > 0  # another depth is its own search
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("name", ["A3", "A4", "B3", "C3", "G2", "D4", "D5", "F4"])
 def test_canonical_root_strata_match_the_per_generator_oracle(name, depth):
@@ -290,8 +309,10 @@ def test_depth_two_strata_counts(name, count):
 def test_strata_lattice_keys_scale_with_generator_sets(name, monkeypatch):
     # One key per generator set plus rank many per member of each orbit: at
     # most 6.5 keys per set on these groups (E8).  A W-orbit search per
-    # generator set makes 121 (F4) to 1060 (E6) keys per set.
-    datum = parse_group(name)
+    # generator set makes 121 (F4) to 1060 (E6) keys per set.  A fresh,
+    # uncached datum, so the strata memo of an earlier test cannot hide the
+    # search.
+    datum = RootDatum(name[0], int(name[1:]))
     p = len(datum.positive_roots)
     limit = 10 * (p + p * (p - 1) // 2)
     calls = 0
