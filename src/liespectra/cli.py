@@ -23,7 +23,6 @@ from .spectra import classify, spectrum_of_multiset
 from .torus import torus_from_epsilon_text, torus_from_json
 from .verify import run_check
 from .weights import level_sets
-from . import kernels
 
 
 def parse_weight_text(text: str, datum: RootDatum | None = None) -> Weight:
@@ -257,7 +256,6 @@ def _cmd_info(args):
         "highest_root": str(datum.highest_root),
         "highest_short_root": str(datum.highest_short_root),
         "fundamental_modules": fund,
-        "kernel_backend": kernels.BACKEND,
     }
 
     def render(p):
@@ -268,7 +266,6 @@ def _cmd_info(args):
         yield "fundamental module dimensions: " + ", ".join(
             f"w{f['index']}={f['dim']}" for f in p["fundamental_modules"]
         )
-        yield f"kernel backend: {p['kernel_backend']}"
 
     _emit(payload, args.json, render)
     return 0

@@ -522,11 +522,13 @@ def torus_from_json(datum: RootDatum, payload, label="") -> TorusElement:
     """Build a torus element from the JSON wire format
     {"omega_values": [{"torsion": "1/2", "free": [1, 0]}, ...]}."""
     try:
-        raw = payload["omega_values"]
-        vals = [
-            ValueGroupElement.make(Fraction(item.get("torsion", "0")), item.get("free", []))
-            for item in raw
-        ]
+        vals = []
+        for item in payload["omega_values"]:
+            if not isinstance(item, dict):
+                raise TypeError(f"omega value {item!r} is not an object")
+            vals.append(
+                ValueGroupElement.make(Fraction(item.get("torsion", "0")), item.get("free", []))
+            )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad torus element JSON: {exc}") from None
     k = max((len(v.free) for v in vals), default=0)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .exceptions import DatumMismatchError, ResourceLimitError
 from .rootdata import RootDatum, Weight
 from . import kernels
-from ._kernels_py import dominant_rep
+from .kernels import dominant_rep
 
 DEFAULT_ORBIT_BOUND = 10_000_000
 # Most dominant weights enumerate_dominant_by_sum will list.

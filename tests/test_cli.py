@@ -169,6 +169,14 @@ def test_spectrum_rejects_a_zero_torsion_denominator(capsys):
     assert code == 2 and out == "" and "bad torus element JSON" in err
 
 
+@pytest.mark.parametrize("element", ['{"omega_values": [1]}', '{"omega_values": "ab"}'])
+def test_spectrum_rejects_an_omega_value_that_is_not_an_object(capsys, element):
+    code, out, err = invoke(
+        capsys, "spectrum", "--group", "A1", "--highest", "[1]", "--element", element
+    )
+    assert code == 2 and out == "" and "is not an object" in err
+
+
 def test_spectrum_rejects_a_fractional_free_exponent(capsys):
     element = '{"omega_values": [{"torsion": "0", "free": [1.5]}]}'
     code, out, err = invoke(

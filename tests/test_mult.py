@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle_helpers as oh
 from liespectra import (
@@ -135,6 +136,35 @@ def test_weyl_invariance_on_orbit_members():
     for w in rng.sample(support, 12):
         rep, _ = dominant_representative(w)
         assert ms.multiplicity(w) == ms.multiplicity(rep)
+
+
+PROPERTY_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
+PROPERTY_DIM_LIMIT = 10_000
+
+
+@st.composite
+def small_dominant_weights(draw, datum):
+    """Coordinates in 0..4, the largest lowered by one at a time until the
+    module has dimension at most PROPERTY_DIM_LIMIT."""
+    coords = draw(st.lists(st.integers(0, 4), min_size=datum.rank, max_size=datum.rank))
+    while weyl_dimension(datum.weight(coords)) > PROPERTY_DIM_LIMIT:
+        coords[coords.index(max(coords))] -= 1
+    return datum.weight(coords)
+
+
+@pytest.mark.parametrize("name", PROPERTY_TYPES)
+def test_total_is_weyl_dimension_and_multiplicities_are_w_invariant(name):
+    datum = parse_group(name)
+
+    @settings(max_examples=10, deadline=None)
+    @given(small_dominant_weights(datum))
+    def check(lam):
+        ms = freudenthal_multiplicities(lam)
+        assert ms.total == weyl_dimension(lam)
+        for w, m in ms.entries.items():
+            assert m == ms.multiplicity(dominant_representative(w)[0])
+
+    check()
 
 
 def test_weight_set_monotone_under_dominance():
