@@ -10,8 +10,8 @@ characteristic-0 values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 from .exceptions import ResourceLimitError
 from .rootdata import RootDatum, Weight, e_constant
@@ -65,18 +65,27 @@ class WeightMultiset:
 
 def weyl_dimension(lam: Weight) -> int:
     """Dimension of the irreducible module with highest weight lam, by the
-    Weyl product formula evaluated exactly in rationals."""
+    Weyl product formula prod <lam+rho, b^vee> / prod <rho, b^vee> over the
+    positive roots b, in integers."""
     if not lam.is_dominant:
         raise ValueError(f"Weyl dimension needs a dominant weight, got {lam}")
-    datum = lam.datum
-    num = Fraction(1)
-    lam_rho = tuple(c + 1 for c in lam.coords)
+    return weyl_dimension_of(lam.datum, lam.coords)
+
+
+def weyl_dimension_of(datum: RootDatum, coords) -> int:
+    """``weyl_dimension`` of the dominant omega-coordinates coords, without
+    building a Weight or checking dominance."""
+    num = 1
+    lam_rho = [c + 1 for c in coords]
     for pv in datum.coroot_pairings:
-        top = sum(a * b for a, b in zip(lam_rho, pv))
-        bottom = sum(pv)
-        num *= Fraction(top, bottom)
-    assert num.denominator == 1
-    return int(num)
+        num *= sum(map(mul, lam_rho, pv))
+    dim, rem = divmod(num, datum.rho_coroot_product)
+    if rem:
+        raise ArithmeticError(
+            f"Weyl product for {coords} on {datum.name} is not divisible by "
+            f"prod <rho, b^vee> = {datum.rho_coroot_product}"
+        )
+    return dim
 
 
 def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):

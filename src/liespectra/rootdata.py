@@ -237,6 +237,8 @@ class RootDatum:
         self.coroot_pairings = tuple(
             tuple(c[i] * self._d[i] // half for i in range(n)) for c, _, half in roots
         )
+        # prod <rho, alpha^vee>: the denominator of the Weyl dimension formula.
+        self.rho_coroot_product = math.prod(sum(pv) for pv in self.coroot_pairings)
         self._root_heights_supports = tuple(
             (sum(c), frozenset(i for i in range(n) if c[i])) for c, _, _ in roots
         )

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 
 from .exceptions import DatumMismatchError
 from .mult import DEFAULT_DIM_BOUND, WeightMultiset, freudenthal_multiplicities
@@ -71,23 +73,34 @@ def spectrum(s: TorusElement, lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -
 def spectrum_of_multiset(s: TorusElement, multiset: WeightMultiset) -> Spectrum:
     """Spectrum of s on the weights of the multiset.
 
-    Multiplicities are accumulated on the integer value keys of s, and one
-    ValueGroupElement is built per distinct value.  The result equals
-    ``Spectrum.from_dict`` of the sum of ``evaluate`` over the weights.
+    Each weight is evaluated by one integer dot product with the packed
+    vector of s (``TorusElement.packing``), whose base is proven from the
+    largest |coordinate| c among the weights.  Multiplicities are summed on
+    the packed values; only the distinct ones are unpacked, their torsion
+    reduced mod D, and keys that then coincide are merged.  The result
+    equals ``Spectrum.from_dict`` of the sum of ``evaluate`` over the
+    weights.
     """
     datum = s.datum
-    value_key = s.value_key
-    acc = {}
-    for w, m in multiset.entries.items():
-        if w.datum is not datum:
-            raise DatumMismatchError("weight bound to a different datum than the torus element")
-        key = value_key(w.coords)
-        acc[key] = acc.get(key, 0) + m
+    entries = multiset.entries
+    coords = [w.coords for w in entries if w.datum is datum]
+    if len(coords) != len(entries):
+        raise DatumMismatchError("weight bound to a different datum than the torus element")
+    values = {}
+    if coords:
+        b, packed = s.packing(max(map(abs, chain.from_iterable(coords))))
+        acc = {}
+        get = acc.get
+        for x, m in zip([sum(map(mul, w, packed)) for w in coords], entries.values()):
+            acc[x] = get(x, 0) + m
+        get = values.get
+        for key, m in zip(s.unpack(acc, b), acc.values()):
+            values[key] = get(key, 0) + m
     # The keys sort in the canonical value order.  The list is built first
     # because tuple() over a generator grows by reallocation, which left the
     # heap measurably larger over many calls.
-    entries = tuple([(s.key_value(key), m) for key, m in sorted(acc.items())])
-    return Spectrum(entries, (s.label, str(multiset.highest)), multiset.validity)
+    out = tuple([(s.key_value(key), m) for key, m in sorted(values.items())])
+    return Spectrum(out, (s.label, str(multiset.highest)), multiset.validity)
 
 
 def classify(sp: Spectrum) -> SpectrumClass:

@@ -16,6 +16,7 @@ import random
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 
@@ -102,6 +103,12 @@ class ValueGroupElement:
         return prefix + body
 
 
+@lru_cache(maxsize=4096)
+def _fraction(t, d):
+    """Fraction(t, d), normalised once per (t, d) pair in use."""
+    return Fraction(t, d)
+
+
 def default_generator_names(k):
     letters = string.ascii_lowercase
     return tuple(letters[i] if i < len(letters) else f"g{i}" for i in range(k))
@@ -114,8 +121,12 @@ class TorusElement:
 
     Characters are evaluated in integers, on columns built once: with D the
     least common denominator of the torsions, omega_i has torsion t_i / D
-    and free part f_i, and the character c has the value key
-    (sum c_i t_i mod D, sum c_i f_i)."""
+    (0 <= t_i < D) and free part f_i, and the character c has the value key
+    (sum c_i t_i mod D, sum c_i f_i).
+
+    Many characters at once are evaluated packed (``packing``/``unpack``):
+    P_i = t_i + sum_j f_ij B^(j+1) in balanced base B, so sum c_i P_i holds
+    the unreduced torsion sum and every free sum as its digits."""
 
     datum: RootDatum
     assignments: tuple  # one ValueGroupElement per fundamental weight
@@ -140,9 +151,14 @@ class TorusElement:
         denom = lcm(*(v.torsion.denominator for v in self.assignments))
         object.__setattr__(self, "_denom", denom)
         object.__setattr__(self, "_tcol", tuple(
-            v.torsion.numerator * (denom // v.torsion.denominator) for v in self.assignments
+            v.torsion.numerator * (denom // v.torsion.denominator) % denom
+            for v in self.assignments
         ))
         object.__setattr__(self, "_fcols", tuple(zip(*(v.free for v in self.assignments))))
+        # Every digit of a term c_i P_i has size <= |c_i| max(D, max |f_ij|).
+        object.__setattr__(self, "_digit_bound", max(
+            denom, max((abs(x) for v in self.assignments for x in v.free), default=0)
+        ))
         object.__setattr__(self, "identity_key", (0, (0,) * k))
 
     @property
@@ -160,7 +176,37 @@ class TorusElement:
 
     def key_value(self, key):
         t, free = key
-        return ValueGroupElement(Fraction(t, self._denom), free)
+        return ValueGroupElement(_fraction(t, self._denom), free)
+
+    def packing(self, c):
+        """(b, P) for characters whose coordinates lie in [-c, c].
+
+        Each digit of sum c_i P_i is a sum of n terms of size at most
+        c * max(D, max |f_ij|), so its size is below h = n c max(D, |f|) + 1,
+        and the base B = 2^b >= 2h + 1 holds it as a balanced digit in
+        [-B/2, B/2).  P_i is built by shifts and adds, most significant first.
+        """
+        h = self.datum.rank * c * self._digit_bound + 1
+        b = (2 * h).bit_length()
+        packed = []
+        for t, free in zip(self._tcol, (v.free for v in self.assignments)):
+            p = 0
+            for f in reversed(free):
+                p = (p + f) << b
+            packed.append(p + t)
+        return b, packed
+
+    def unpack(self, xs, b):
+        """Value keys of the packed sums x = sum c_i P_i of ``packing``, in
+        order.  Digits are read lowest first, one pass over xs per digit."""
+        mask, half = (1 << b) - 1, 1 << (b - 1)
+        xs = [x + half for x in xs]  # each digit of x + B/2 is its balanced digit + B/2
+        torsion = [((x & mask) - half) % self._denom for x in xs]
+        free = []
+        for _ in self._fcols:
+            xs = [(x >> b) + half for x in xs]
+            free.append([(x & mask) - half for x in xs])
+        return list(zip(torsion, zip(*free) if free else itertools.repeat((), len(torsion))))
 
     def render_value(self, v):
         return v.render(self.gen_names, self.gen_denoms)

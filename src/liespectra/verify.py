@@ -10,6 +10,7 @@ decorations of order <= 4; they are not exhaustive over the full torus.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from . import tables
 from .exceptions import ResourceLimitError
-from .mult import freudenthal_multiplicities, validity_note, weyl_dimension
+from .mult import freudenthal_multiplicities, validity_note, weyl_dimension, weyl_dimension_of
 from .rootdata import RootDatum, Weight, build_root_datum
 from .spectra import (
     SpectrumKind,
@@ -41,7 +42,7 @@ from .torus import (
     torus_from_epsilon,
     torus_from_epsilon_text,
 )
-from .weights import level_sets, is_radical
+from .weights import DOMINANT_ENUMERATION_BOUND, is_radical, level_sets
 
 SWEEP_SCOPE_NOTE = (
     "evidence at characteristic 0 from generic stratum elements with torsion "
@@ -121,13 +122,12 @@ def _fmt_weights(ws):
 
 def verify_level_table(family: str, rank: int) -> VerificationReport:
     """Compare computed level-1/level-2 sets (and the radical part of level 3
-    where a reference is available) against the reference table."""
-    rec = _Recorder(f"level-table:{family}{rank}")
+    where a reference is available) against the reference table.  A family
+    without a reference table (E, F, G) raises ValueError before any work."""
     ref = tables.level_reference(family, rank)
     if ref is None:
-        rec.check(f"{family}{rank}", False, expected="a classical family A-D",
-                  actual=f"{family}{rank} has no level reference")
-        return rec.report()
+        raise ValueError(f"level tables are defined for families A-D, not {family}{rank}")
+    rec = _Recorder(f"level-table:{family}{rank}")
     datum = build_root_datum(family, rank)
     assignments = level_sets(datum, 3, LEVEL_TABLE_BOUND)
     computed = {1: set(), 2: set(), 3: set()}
@@ -311,11 +311,45 @@ def verify_witness_elements() -> VerificationReport:
 # -- classification sweep --------------------------------------------------------
 
 
+def _coordinate_caps(datum: RootDatum, dim_bound: int):
+    """Per i, the largest c with dim L(c omega_i) <= dim_bound (0 if none).
+
+    The Weyl dimension grows strictly in each coordinate, so every dominant
+    weight of dimension <= dim_bound has coordinates within these caps.
+    Each cap is found by doubling and then bisection.
+    """
+    n = datum.rank
+    caps = []
+    for i in range(n):
+        def fits(c):
+            return weyl_dimension_of(datum, [c * (j == i) for j in range(n)]) <= dim_bound
+
+        lo, hi = 0, 1  # fits(lo) and not fits(hi) once the doubling stops
+        while fits(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        caps.append(lo)
+    return tuple(caps)
+
+
 def enumerate_modules(datum: RootDatum, dim_bound: int, include_zero=False):
     """Dominant weights with Weyl dimension within the bound, sorted by
-    (dimension, coordinates).  A negative bound raises ValueError."""
+    (dimension, coordinates).  A negative bound raises ValueError, and a
+    candidate box prod (m_i + 1) of ``_coordinate_caps`` larger than
+    DOMINANT_ENUMERATION_BOUND raises ResourceLimitError before any
+    module is listed."""
     if dim_bound < 0:
         raise ValueError(f"dimension bound must be >= 0, got {dim_bound}")
+    caps = _coordinate_caps(datum, dim_bound)
+    box = math.prod(m + 1 for m in caps)
+    if box > DOMINANT_ENUMERATION_BOUND:
+        raise ResourceLimitError(
+            f"{datum.name} has {box} candidate dominant weights for dimension <= "
+            f"{dim_bound} (coordinate caps {list(caps)}), exceeding the enumeration "
+            f"bound {DOMINANT_ENUMERATION_BOUND}"
+        )
     n = datum.rank
     out = []
     coords = [0] * n

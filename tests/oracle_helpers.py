@@ -133,6 +133,22 @@ def positive_roots_oracle(datum):
     return tuple(c for _, c in sorted(keyed))
 
 
+def weyl_dimension_oracle(datum, coords):
+    """Weyl's product prod (lam + rho, b) / (rho, b) over the positive roots
+    b, in Fractions on the invariant form (no coroot pairings).  The roots
+    are the datum's, which ``positive_roots_oracle`` checks elsewhere."""
+    lam_rho = [c + 1 for c in coords]
+    num = den = Fraction(1)
+    for b in datum.positive_root_coords:
+        # (mu, b) = sum_i mu_i (omega_i, b)
+        col = [sum(row[j] * b[j] for j in range(datum.rank)) for row in datum.form_matrix]
+        num *= sum(x * y for x, y in zip(lam_rho, col))
+        den *= sum(col)
+    dim = num / den
+    assert dim.denominator == 1
+    return int(dim)
+
+
 def dominant_rep_oracle(datum, coords):
     doms = [c for c in orbit_oracle(datum, coords) if all(x >= 0 for x in c)]
     assert len(doms) == 1

@@ -240,6 +240,31 @@ def test_levels_rejects_huge_bound_before_enumerating():
     assert float(elapsed) < 1.0
 
 
+def test_verify_rejects_huge_dim_bound_before_enumerating():
+    # A1 has one module per dimension, so --dim-bound 1e8 would list 1e8 of
+    # them; the candidate box is counted first.  A child process, so a
+    # regression is killed by the timeout instead of hanging the suite.
+    script = (
+        "import time; from liespectra.cli import run; t = time.perf_counter(); "
+        "code = run(['verify', '--check', 'c99', '--family', 'A', '--rank', '1', "
+        "'--dim-bound', '100000000', '--depth', '1']); "
+        "print(code, time.perf_counter() - t)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=10)
+    code, elapsed = proc.stdout.split()
+    assert code == "3" and "resource limit" in proc.stderr and "99999999" in proc.stderr
+    assert float(elapsed) < 1.0
+
+
+@pytest.mark.parametrize("family,rank", [("G", 2), ("E", 6), ("F", 4)])
+def test_level_table_rejects_a_non_classical_family(capsys, family, rank):
+    code, out, err = invoke(capsys, "verify", "--check", "level-table",
+                            "--family", family, "--rank", str(rank))
+    assert code == 2 and out == ""
+    assert f"families A-D, not {family}{rank}" in err
+
+
 def test_info_command(capsys):
     code, out, _ = invoke(capsys, "info", "--group", "G2")
     assert code == 0

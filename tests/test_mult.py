@@ -167,6 +167,26 @@ def test_total_is_weyl_dimension_and_multiplicities_are_w_invariant(name):
     check()
 
 
+# Every simple type of rank <= 8.
+RANK_8_TYPES = (
+    [f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
+    + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", RANK_8_TYPES)
+def test_weyl_dimension_matches_the_fraction_oracle(name):
+    datum = parse_group(name)
+    n = datum.rank
+    rng = random.Random(name)
+    weights = [datum.zero(), datum.rho, datum.highest_root, datum.highest_short_root]
+    weights += [datum.fundamental_weight(i) for i in range(1, n + 1)]
+    weights += [datum.weight([rng.randrange(6) for _ in range(n)]) for _ in range(4)]
+    for lam in weights:
+        assert weyl_dimension(lam) == oh.weyl_dimension_oracle(datum, lam.coords), lam
+
+
 def test_weight_set_monotone_under_dominance():
     # mu < lam implies the weight set of V_mu sits inside that of V_lam.
     for name, bound in [("A3", 2), ("C3", 2), ("B3", 2)]:

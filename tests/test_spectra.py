@@ -1,8 +1,10 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle_helpers as oh
 from liespectra import (
@@ -16,6 +18,7 @@ from liespectra import (
     is_almost_simple,
     is_regular,
     minimal_nonzero_subdominant,
+    parse_group,
     premet_weight_set,
     separates_weights,
     spectrum,
@@ -93,6 +96,61 @@ def test_spectrum_of_multiset_equals_per_weight_evaluation(s, modules):
         assert all(type(v.torsion) is Fraction and 0 <= v.torsion < 1 for v, _ in got.entries)
 
 
+# Modules whose weights have large coordinates (up to 1501 on A1), or many
+# weights of rank 2 and 3, for the packing bound of spectrum_of_multiset.
+PACKING_MODULES = [("A1", (1000,)), ("A1", (1501,)), ("G2", (3, 2)), ("G2", (0, 7)),
+                   ("B3", (2, 1, 1)), ("B3", (0, 0, 5))]
+
+
+@lru_cache(maxsize=None)
+def _packing_multiset(name, coords):
+    return freudenthal_multiplicities(parse_group(name).weight(coords))
+
+
+@st.composite
+def packing_cases(draw):
+    """A torus element with torsion denominators up to 997 and free exponents
+    up to 10^6 in size (small ones too, so values collide), on a module of
+    PACKING_MODULES."""
+    multiset = _packing_multiset(*draw(st.sampled_from(PACKING_MODULES)))
+    datum = multiset.highest.datum
+    k = draw(st.integers(0, 3))
+    exponent = st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6))
+    assignments = []
+    for _ in range(datum.rank):
+        den = draw(st.one_of(st.integers(1, 4), st.integers(1, 997)))
+        torsion = Fraction(draw(st.integers(0, den - 1)), den)
+        assignments.append((torsion, tuple(draw(exponent) for _ in range(k))))
+    return torus_element(datum, assignments), multiset
+
+
+@settings(max_examples=60, deadline=None)
+@given(packing_cases())
+def test_packed_spectrum_matches_the_per_weight_oracle(case):
+    s, multiset = case
+    assert spectrum_of_multiset(s, multiset) == _spectrum_by_evaluate(s, multiset)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_spectrum_at_the_digit_bound(sign):
+    # On A1 [1000] the weights +-1000 reach every digit's bound
+    # n * c * max(D, |f|) = 10^9 exactly: torsion 996/997, free +-10^6.
+    multiset = _packing_multiset("A1", (1000,))
+    s = torus_element(multiset.highest.datum,
+                      [(Fraction(996, 997), (sign * 10**6, -sign * 10**6, 10**6 - 1))])
+    assert spectrum_of_multiset(s, multiset) == _spectrum_by_evaluate(s, multiset)
+
+
+def test_spectrum_of_multiset_merges_torsion_keys_mod_d():
+    # Torsion only: the 1001 weights of A1 [1000] fall onto 997 torsion
+    # values, so packed sums that differ by multiples of D must merge.
+    multiset = _packing_multiset("A1", (1000,))
+    s = torus_element(multiset.highest.datum, [(Fraction(1, 997), ())])
+    sp = spectrum_of_multiset(s, multiset)
+    assert sp == _spectrum_by_evaluate(s, multiset)
+    assert len(sp.entries) == 997 and sp.total == 1001
+
+
 def test_spectrum_of_multiset_rejects_a_multiset_of_another_datum():
     s = torus_from_epsilon_text(build_root_datum("A", 3), "a,b,1/a,1/b")
     foreign = freudenthal_multiplicities(build_root_datum("B", 3).fundamental_weight(1))
@@ -141,6 +199,26 @@ def test_tensor_spectrum_examples():
     s2 = Spectrum.from_dict({val(0, (0, 0, 1, 0)): 1, val(0, (0, 0, 0, 1)): 1})
     t = tensor_spectrum(s1, s2)
     assert classify(t).kind is SpectrumKind.NOT_ALMOST_SIMPLE
+
+
+@st.composite
+def spectra(draw):
+    values = {}
+    for _ in range(draw(st.integers(1, 5))):
+        den = draw(st.integers(1, 12))
+        v = ValueGroupElement(Fraction(draw(st.integers(0, den - 1)), den),
+                              tuple(draw(st.integers(-3, 3)) for _ in range(2)))
+        values[v] = draw(st.integers(1, 3))
+    return Spectrum.from_dict(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectra(), spectra(), spectra())
+def test_tensor_spectrum_is_commutative_and_associative(a, b, c):
+    assert tensor_spectrum(a, b).entries == tensor_spectrum(b, a).entries
+    left = tensor_spectrum(tensor_spectrum(a, b), c)
+    assert left.entries == tensor_spectrum(a, tensor_spectrum(b, c)).entries
+    assert left.total == a.total * b.total * c.total
 
 
 def _random_spectrum(rng, symmetric=False):

@@ -1,7 +1,9 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle_helpers as oh
 import liespectra.torus as torus_module
@@ -371,3 +373,24 @@ def test_torus_json_roundtrip():
     assert again.assignments == s.assignments
     with pytest.raises(ValueError, match="bad torus element JSON"):
         torus_from_json(a3, {"wrong": []})
+
+
+@st.composite
+def torus_elements(draw):
+    datum = parse_group(draw(st.sampled_from(["A1", "A3", "B3", "C2", "D4", "G2", "F4", "E6"])))
+    k = draw(st.integers(0, 3))
+    assignments = []
+    for _ in range(datum.rank):
+        den = draw(st.integers(1, 997))
+        assignments.append((Fraction(draw(st.integers(0, den - 1)), den),
+                            tuple(draw(st.integers(-10**6, 10**6)) for _ in range(k))))
+    return torus_element(datum, assignments)
+
+
+@settings(max_examples=60, deadline=None)
+@given(torus_elements())
+def test_torus_element_round_trips_through_json(s):
+    back = torus_from_json(s.datum, json.loads(json.dumps(s.to_json())))
+    assert back.assignments == s.assignments
+    roots = s.datum.positive_root_coords
+    assert [back.value_key(r) for r in roots] == [s.value_key(r) for r in roots]

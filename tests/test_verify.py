@@ -41,8 +41,8 @@ def test_level_table_content_spot_checks():
 
 
 def test_level_table_rejects_unknown_family():
-    report = verify_level_table("E", 6)
-    assert report.status == "Fail"
+    with pytest.raises(ValueError, match="families A-D"):
+        verify_level_table("E", 6)
 
 
 def test_witnesses_pass():
