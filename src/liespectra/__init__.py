@@ -58,6 +58,7 @@ from .spectra import (
     SpectrumClass,
     SpectrumKind,
     classify,
+    classify_multiset,
     is_almost_simple,
     spectrum,
     spectrum_of_multiset,

@@ -10,10 +10,11 @@ characteristic-0 values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import mul
 
-from .exceptions import ResourceLimitError
+from .exceptions import DatumMismatchError, ResourceLimitError
 from .rootdata import RootDatum, Weight, e_constant
 from .weights import DEFAULT_ORBIT_BOUND, orbit_size, subdominant_weights
 from . import kernels
@@ -30,11 +31,38 @@ def validity_note(datum: RootDatum) -> str:
 
 @dataclass(frozen=True)
 class WeightMultiset:
-    """Weights of an irreducible module with their multiplicities."""
+    """Weights of an irreducible module with their multiplicities.
+
+    The layout read by spectrum evaluation (``columns_by_multiplicity``,
+    ``max_abs_coordinate``, ``label``) is gathered once, on first use, so
+    ``entries`` must not change after it is read."""
 
     highest: Weight
     entries: dict  # Weight -> positive int
     validity: str
+
+    @cached_property
+    def columns_by_multiplicity(self):
+        """((m, columns), ...) in increasing m: for each multiplicity m, the
+        omega-coordinate columns of the weights of multiplicity m, so
+        columns[i][w] is coordinate i of the w-th such weight.  Raises
+        DatumMismatchError if a weight is bound to another datum than the
+        highest weight."""
+        datum = self.highest.datum
+        groups = {}
+        for w, m in self.entries.items():
+            if w.datum is not datum:
+                raise DatumMismatchError("weight bound to a different datum than the highest weight")
+            groups.setdefault(m, []).append(w.coords)
+        return tuple((m, tuple(zip(*coords))) for m, coords in sorted(groups.items()))
+
+    @cached_property
+    def max_abs_coordinate(self) -> int:
+        return max(map(abs, chain.from_iterable(w.coords for w in self.entries)), default=0)
+
+    @cached_property
+    def label(self) -> str:
+        return str(self.highest)
 
     @property
     def total(self) -> int:
@@ -105,7 +133,7 @@ def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):
             f"weight set of {lam} has {total} elements, exceeding the orbit bound {orbit_bound}"
         )
     n, alpha = datum.rank, datum.simple_root_coords
-    orbits = (kernels.weyl_orbit(n, alpha, m.coords) for m in doms)
+    orbits = (kernels._orbit(n, alpha, m.coords) for m in doms)
     return frozenset(Weight._bulk(chain.from_iterable(orbits), datum))
 
 

@@ -4,9 +4,10 @@ classification, and the Kronecker-product calculus."""
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from operator import mul
+from itertools import compress, islice
+from operator import add, itemgetter
 
 from .exceptions import DatumMismatchError
 from .mult import DEFAULT_DIM_BOUND, WeightMultiset, freudenthal_multiplicities
@@ -70,49 +71,81 @@ def spectrum(s: TorusElement, lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -
     return spectrum_of_multiset(s, multiset)
 
 
+def residue_counts(s: TorusElement, multiset: WeightMultiset):
+    """(b, counts): counts maps each residue r = x mod M of a packed sum
+    x = sum c_i P_i (``TorusElement.packing`` with base 2^b) to the total
+    multiplicity of the weights c that give it.
+
+    By the residue layout of ``TorusElement``, two weights have the same
+    value at s iff their residues are equal, so counts is the spectrum with
+    undecoded keys.  The base is proven from the multiset's largest
+    |coordinate|.  Each multiplicity group is evaluated column by column and
+    reduced mod M in ``map`` passes; the weights of multiplicity 1 are
+    counted by ``Counter``, the others add their multiplicity.
+    """
+    if multiset.highest.datum is not s.datum:
+        raise DatumMismatchError("weight bound to a different datum than the torus element")
+    groups = multiset.columns_by_multiplicity
+    b, packed, modulus = s.packing(multiset.max_abs_coordinate)
+    counts = Counter()
+    for m, columns in groups:
+        xs = map(packed[0].__mul__, columns[0])
+        for p, column in zip(packed[1:], columns[1:]):
+            xs = map(add, xs, map(p.__mul__, column))
+        residues = map(modulus.__rmod__, xs)
+        if m == 1:
+            counts.update(residues)
+        else:
+            get = counts.get
+            for r in residues:
+                counts[r] = get(r, 0) + m
+    return b, counts
+
+
 def spectrum_of_multiset(s: TorusElement, multiset: WeightMultiset) -> Spectrum:
     """Spectrum of s on the weights of the multiset.
 
-    Each weight is evaluated by one integer dot product with the packed
-    vector of s (``TorusElement.packing``), whose base is proven from the
-    largest |coordinate| c among the weights.  Multiplicities are summed on
-    the packed values; only the distinct ones are unpacked, their torsion
-    reduced mod D, and keys that then coincide are merged.  The result
-    equals ``Spectrum.from_dict`` of the sum of ``evaluate`` over the
-    weights.
+    The values are counted on residues (``residue_counts``), and each
+    distinct residue is decoded once into its value key.  The result equals
+    ``Spectrum.from_dict`` of the sum of ``evaluate`` over the weights.
     """
-    datum = s.datum
-    entries = multiset.entries
-    coords = [w.coords for w in entries if w.datum is datum]
-    if len(coords) != len(entries):
-        raise DatumMismatchError("weight bound to a different datum than the torus element")
-    values = {}
-    if coords:
-        b, packed = s.packing(max(map(abs, chain.from_iterable(coords))))
-        acc = {}
-        get = acc.get
-        for x, m in zip([sum(map(mul, w, packed)) for w in coords], entries.values()):
-            acc[x] = get(x, 0) + m
-        get = values.get
-        for key, m in zip(s.unpack(acc, b), acc.values()):
-            values[key] = get(key, 0) + m
+    b, counts = residue_counts(s, multiset)
     # The keys sort in the canonical value order.  The list is built first
     # because tuple() over a generator grows by reallocation, which left the
     # heap measurably larger over many calls.
-    out = tuple([(s.key_value(key), m) for key, m in sorted(values.items())])
-    return Spectrum(out, (s.label, str(multiset.highest)), multiset.validity)
+    items = sorted(zip(s.unpack(counts, b), counts.values()))
+    out = tuple([(s.key_value(key), m) for key, m in items])
+    return Spectrum(out, (s.label, multiset.label), multiset.validity)
+
+
+def _spectrum_class(heavy, max_mult) -> SpectrumClass:
+    """The heavy-value rule, given the values of multiplicity above 1 (the
+    first two suffice): simple if there is none, almost simple if there is
+    exactly one (the heavy value), not almost simple otherwise."""
+    if not heavy:
+        return SpectrumClass(SpectrumKind.SIMPLE, None, max_mult)
+    if len(heavy) == 1:
+        return SpectrumClass(SpectrumKind.ALMOST_SIMPLE, heavy[0], max_mult)
+    return SpectrumClass(SpectrumKind.NOT_ALMOST_SIMPLE, None, max_mult)
 
 
 def classify(sp: Spectrum) -> SpectrumClass:
     """Simple if all multiplicities are 1; almost simple if exactly one value
     has multiplicity above 1; not almost simple otherwise."""
-    heavy = [(v, m) for v, m in sp.entries if m > 1]
-    max_mult = max((m for _, m in sp.entries), default=0)
-    if not heavy:
-        return SpectrumClass(SpectrumKind.SIMPLE, None, max_mult)
+    entries = sp.entries
+    return _spectrum_class([v for v, m in entries if m > 1],
+                           max(map(itemgetter(1), entries), default=0))
+
+
+def classify_multiset(s: TorusElement, multiset: WeightMultiset) -> SpectrumClass:
+    """``classify(spectrum_of_multiset(s, multiset))``, read off the residue
+    counts: the first two heavy residues are found in C-level passes, and
+    only a single heavy residue is decoded."""
+    b, counts = residue_counts(s, multiset)
+    heavy = list(islice(compress(counts, map((1).__lt__, counts.values())), 2))
     if len(heavy) == 1:
-        return SpectrumClass(SpectrumKind.ALMOST_SIMPLE, heavy[0][0], max_mult)
-    return SpectrumClass(SpectrumKind.NOT_ALMOST_SIMPLE, None, max_mult)
+        heavy = [s.key_value(s.unpack(heavy, b)[0])]
+    return _spectrum_class(heavy, max(counts.values(), default=0))
 
 
 def is_almost_simple(sp: Spectrum) -> bool:

@@ -124,9 +124,26 @@ class TorusElement:
     (0 <= t_i < D) and free part f_i, and the character c has the value key
     (sum c_i t_i mod D, sum c_i f_i).
 
-    Many characters at once are evaluated packed (``packing``/``unpack``):
-    P_i = t_i + sum_j f_ij B^(j+1) in balanced base B, so sum c_i P_i holds
-    the unreduced torsion sum and every free sum as its digits."""
+    Many characters at once are evaluated packed (``packing``/``unpack``).
+    With k free generators, omega_i is packed as
+    P_i = t_i B^k + sum_j f_ij B^(k-1-j): the torsion is the top digit and
+    the free exponents are balanced base-B digits below it, f_i0 highest.
+    The character c gives x = sum c_i P_i = T B^k + L, with T = sum c_i t_i
+    and L = sum_j F_j B^(k-1-j), F_j = sum_i c_i f_ij.  If every |F_j| is
+    below B/2 (``packing`` proves it), L lies in [-H, B^k - H) with
+    H = sum_j (B/2) B^j, and the residue r = x mod M, M = D B^k, carries
+    exactly the value of c:
+
+    * r = (T mod D) B^k + L (mod M), and (T mod D) B^k + L lies in
+      [-H, M - H), a window of M consecutive integers, so
+      y = (r + H) mod M equals (T mod D) B^k + L + H;
+    * y's top digit (y >> bk) is T mod D, and its k digits below, read in
+      plain base B, are F_j + B/2;
+    * so r determines (T mod D, F), and (T mod D, F) determines L and
+      then r.
+
+    So two characters have the same value iff their packed sums have the
+    same residue."""
 
     datum: RootDatum
     assignments: tuple  # one ValueGroupElement per fundamental weight
@@ -155,9 +172,9 @@ class TorusElement:
             for v in self.assignments
         ))
         object.__setattr__(self, "_fcols", tuple(zip(*(v.free for v in self.assignments))))
-        # Every digit of a term c_i P_i has size <= |c_i| max(D, max |f_ij|).
+        # Every free digit of a term c_i P_i has size <= |c_i| max |f_ij|.
         object.__setattr__(self, "_digit_bound", max(
-            denom, max((abs(x) for v in self.assignments for x in v.free), default=0)
+            (abs(x) for v in self.assignments for x in v.free), default=0
         ))
         object.__setattr__(self, "identity_key", (0, (0,) * k))
 
@@ -179,33 +196,37 @@ class TorusElement:
         return ValueGroupElement(_fraction(t, self._denom), free)
 
     def packing(self, c):
-        """(b, P) for characters whose coordinates lie in [-c, c].
+        """(b, P, M) for characters whose coordinates lie in [-c, c].
 
-        Each digit of sum c_i P_i is a sum of n terms of size at most
-        c * max(D, max |f_ij|), so its size is below h = n c max(D, |f|) + 1,
-        and the base B = 2^b >= 2h + 1 holds it as a balanced digit in
-        [-B/2, B/2).  P_i is built by shifts and adds, most significant first.
+        Each free digit F_j of sum c_i P_i is a sum of n terms of size at
+        most c * max |f_ij|, so |F_j| < h = n c max |f_ij| + 1, and the base
+        B = 2^b > 2h holds it as a balanced digit in [-B/2, B/2).  The
+        torsion digit needs no bound: it is reduced mod D by taking the
+        residue mod M = D B^k (see the class docstring).  P_i is built by
+        shifts and adds, most significant first.
         """
         h = self.datum.rank * c * self._digit_bound + 1
         b = (2 * h).bit_length()
         packed = []
         for t, free in zip(self._tcol, (v.free for v in self.assignments)):
-            p = 0
-            for f in reversed(free):
-                p = (p + f) << b
-            packed.append(p + t)
-        return b, packed
+            p = t
+            for f in free:
+                p = (p << b) + f
+            packed.append(p)
+        return b, packed, self._denom << (b * len(self._fcols))
 
-    def unpack(self, xs, b):
-        """Value keys of the packed sums x = sum c_i P_i of ``packing``, in
-        order.  Digits are read lowest first, one pass over xs per digit."""
+    def unpack(self, residues, b):
+        """Value keys of residues r = x mod M of packed sums x = sum c_i P_i
+        (``packing`` with base 2^b), in order.  Each r is shifted to
+        y = (r + H) mod M, whose digits are read one pass over the list per
+        digit."""
+        k = len(self._fcols)
         mask, half = (1 << b) - 1, 1 << (b - 1)
-        xs = [x + half for x in xs]  # each digit of x + B/2 is its balanced digit + B/2
-        torsion = [((x & mask) - half) % self._denom for x in xs]
-        free = []
-        for _ in self._fcols:
-            xs = [(x >> b) + half for x in xs]
-            free.append([(x & mask) - half for x in xs])
+        offset = half * ((1 << (b * k)) - 1) // mask  # H = sum_j (B/2) B^j
+        modulus = self._denom << (b * k)
+        ys = [(r + offset) % modulus for r in residues]
+        torsion = [y >> (b * k) for y in ys]
+        free = [[((y >> (b * j)) & mask) - half for y in ys] for j in reversed(range(k))]
         return list(zip(torsion, zip(*free) if free else itertools.repeat((), len(torsion))))
 
     def render_value(self, v):

@@ -23,6 +23,7 @@ from .rootdata import RootDatum, Weight, build_root_datum
 from .spectra import (
     SpectrumKind,
     classify,
+    classify_multiset,
     is_almost_simple,
     spectrum_of_multiset,
 )
@@ -351,27 +352,26 @@ def enumerate_modules(datum: RootDatum, dim_bound: int, include_zero=False):
             f"bound {DOMINANT_ENUMERATION_BOUND}"
         )
     n = datum.rank
-    out = []
+    out = []  # (dimension, coordinates); the last prefix check gives the dimension
     coords = [0] * n
 
     def rec(i):
-        if i == n:
-            w = Weight(tuple(coords), datum)
-            if include_zero or not w.is_zero:
-                out.append(w)
-            return
         c = 0
         while True:
             coords[i] = c
-            if weyl_dimension(Weight(tuple(coords[: i + 1] + [0] * (n - i - 1)), datum)) > dim_bound:
+            dim = weyl_dimension(Weight(tuple(coords[: i + 1] + [0] * (n - i - 1)), datum))
+            if dim > dim_bound:
                 break
-            rec(i + 1)
+            if i + 1 < n:
+                rec(i + 1)
+            elif include_zero or any(coords):
+                out.append((dim, tuple(coords)))
             c += 1
         coords[i] = 0
 
     rec(0)
-    out.sort(key=lambda w: (weyl_dimension(w), w.coords))
-    return out
+    out.sort()
+    return [Weight(c, datum) for _, c in out]
 
 
 def sweep_elements(datum: RootDatum, depth: int, seed: int):
@@ -412,8 +412,7 @@ def classification_sweep(datum: RootDatum, dim_bound: int, depth: int, seed: int
             skipped.append((lam, str(exc)))
             continue
         for s in elements:
-            sp = spectrum_of_multiset(s, multiset)
-            cls = classify(sp)
+            cls = classify_multiset(s, multiset)
             if cls.kind is not SpectrumKind.NOT_ALMOST_SIMPLE:
                 outcomes.setdefault(lam, []).append((s, cls))
     return modules, elements, outcomes, skipped

@@ -167,6 +167,40 @@ def test_total_is_weyl_dimension_and_multiplicities_are_w_invariant(name):
     check()
 
 
+def _alpha_strings(ms, root, pairing):
+    """Each alpha-string of the module's weights, bottom first, as
+    (bottom weight's coordinates, list of multiplicities), and the pairing
+    <bottom, alpha^vee>."""
+    mult = {w.coords: m for w, m in ms.entries.items()}
+    for mu in mult:
+        if tuple(a - b for a, b in zip(mu, root)) in mult:
+            continue
+        string, nu = [], mu
+        while nu in mult:
+            string.append(mult[nu])
+            nu = tuple(a + b for a, b in zip(nu, root))
+        yield mu, string, sum(a * b for a, b in zip(mu, pairing))
+
+
+@pytest.mark.parametrize("name", PROPERTY_TYPES)
+def test_alpha_strings_are_palindromic_and_unimodal(name):
+    datum = parse_group(name)
+
+    @settings(max_examples=10, deadline=None)
+    @given(small_dominant_weights(datum))
+    def check(lam):
+        ms = freudenthal_multiplicities(lam)
+        for root, pairing in zip(datum.positive_root_coords, datum.coroot_pairings):
+            for bottom, string, p in _alpha_strings(ms, root, pairing):
+                # s_alpha maps the bottom mu to the top mu - <mu, alpha^vee> alpha.
+                assert len(string) == 1 - p, (lam, root, bottom)
+                assert string == string[::-1], (lam, root, bottom)
+                half = string[: (len(string) + 1) // 2]
+                assert half == sorted(half), (lam, root, bottom)
+
+    check()
+
+
 # Every simple type of rank <= 8.
 RANK_8_TYPES = (
     [f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]

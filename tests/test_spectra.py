@@ -13,6 +13,7 @@ from liespectra import (
     ValueGroupElement,
     build_root_datum,
     classify,
+    classify_multiset,
     freudenthal_multiplicities,
     generic_regular_element,
     is_almost_simple,
@@ -28,7 +29,7 @@ from liespectra import (
     torus_from_epsilon_text,
     zero_weight_multiplicity,
 )
-from liespectra.mult import weyl_dimension
+from liespectra.mult import WeightMultiset, weyl_dimension
 from liespectra.spectra import SpectrumKind
 from liespectra.verify import sweep_elements
 from liespectra.weights import enumerate_dominant_by_sum, is_radical, dominates
@@ -124,6 +125,13 @@ def packing_cases(draw):
     return torus_element(datum, assignments), multiset
 
 
+def _assert_counts_path_agrees(s, multiset, sp):
+    """classify_multiset reads the same class (kind, heavy value, maximum
+    multiplicity) off the residue counts as classify does off the full
+    spectrum sp."""
+    assert classify_multiset(s, multiset) == classify(sp)
+
+
 @settings(max_examples=60, deadline=None)
 @given(packing_cases())
 def test_packed_spectrum_matches_the_per_weight_oracle(case):
@@ -131,14 +139,40 @@ def test_packed_spectrum_matches_the_per_weight_oracle(case):
     assert spectrum_of_multiset(s, multiset) == _spectrum_by_evaluate(s, multiset)
 
 
+@settings(max_examples=60, deadline=None)
+@given(packing_cases())
+def test_classify_multiset_matches_classify_of_the_spectrum(case):
+    s, multiset = case
+    _assert_counts_path_agrees(s, multiset, _spectrum_by_evaluate(s, multiset))
+
+
+@pytest.mark.parametrize("name,bound", [("A3", 45), ("B3", 30), ("C3", 30), ("D4", 60)])
+def test_classify_multiset_matches_classify_on_sweep_elements(name, bound):
+    # Stratum elements are non-regular, so almost-simple outcomes (with a
+    # heavy value to decode) occur on these modules.
+    datum = parse_group(name)
+    kinds = set()
+    for lam in enumerate_dominant_by_sum(datum, 3):
+        if weyl_dimension(lam) > bound:
+            continue
+        multiset = freudenthal_multiplicities(lam)
+        for s in sweep_elements(datum, 2, 0):
+            sp = spectrum_of_multiset(s, multiset)
+            _assert_counts_path_agrees(s, multiset, sp)
+            kinds.add(classify(sp).kind)
+    assert SpectrumKind.ALMOST_SIMPLE in kinds and SpectrumKind.NOT_ALMOST_SIMPLE in kinds
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_packed_spectrum_at_the_digit_bound(sign):
-    # On A1 [1000] the weights +-1000 reach every digit's bound
-    # n * c * max(D, |f|) = 10^9 exactly: torsion 996/997, free +-10^6.
+    # On A1 [1000] the weights +-1000 reach the free digits' bound
+    # n * c * max |f| = 10^9 exactly (free +-10^6), with torsion 996/997 on top.
     multiset = _packing_multiset("A1", (1000,))
     s = torus_element(multiset.highest.datum,
                       [(Fraction(996, 997), (sign * 10**6, -sign * 10**6, 10**6 - 1))])
-    assert spectrum_of_multiset(s, multiset) == _spectrum_by_evaluate(s, multiset)
+    sp = spectrum_of_multiset(s, multiset)
+    assert sp == _spectrum_by_evaluate(s, multiset)
+    _assert_counts_path_agrees(s, multiset, sp)
 
 
 def test_spectrum_of_multiset_merges_torsion_keys_mod_d():
@@ -149,6 +183,20 @@ def test_spectrum_of_multiset_merges_torsion_keys_mod_d():
     sp = spectrum_of_multiset(s, multiset)
     assert sp == _spectrum_by_evaluate(s, multiset)
     assert len(sp.entries) == 997 and sp.total == 1001
+    _assert_counts_path_agrees(s, multiset, sp)
+    assert classify_multiset(s, multiset).kind is SpectrumKind.NOT_ALMOST_SIMPLE
+
+
+@pytest.mark.parametrize("free", [(), (0,), (0, 0)])
+def test_classify_multiset_decodes_a_merged_heavy_torsion_value(free):
+    # Torsion 1/2000 on A1 [1000]: only the weights +-1000 meet, on the
+    # value -1 (torsion 1/2), and zero free exponents keep them together.
+    multiset = _packing_multiset("A1", (1000,))
+    s = torus_element(multiset.highest.datum, [(Fraction(1, 2000), free)])
+    cls = classify_multiset(s, multiset)
+    assert cls.kind is SpectrumKind.ALMOST_SIMPLE and cls.max_multiplicity == 2
+    assert cls.heavy_value == val(Fraction(1, 2), free)
+    _assert_counts_path_agrees(s, multiset, _spectrum_by_evaluate(s, multiset))
 
 
 def test_spectrum_of_multiset_rejects_a_multiset_of_another_datum():
@@ -156,6 +204,16 @@ def test_spectrum_of_multiset_rejects_a_multiset_of_another_datum():
     foreign = freudenthal_multiplicities(build_root_datum("B", 3).fundamental_weight(1))
     with pytest.raises(DatumMismatchError):
         spectrum_of_multiset(s, foreign)
+
+
+def test_spectrum_of_multiset_rejects_a_weight_of_another_datum():
+    a3, b3 = build_root_datum("A", 3), build_root_datum("B", 3)
+    s = torus_from_epsilon_text(a3, "a,b,1/a,1/b")
+    ms = freudenthal_multiplicities(a3.fundamental_weight(1))
+    mixed = WeightMultiset(ms.highest, {**ms.entries, b3.fundamental_weight(1): 1}, ms.validity)
+    for read in (spectrum_of_multiset, classify_multiset):
+        with pytest.raises(DatumMismatchError):
+            read(s, mixed)
 
 
 def test_spectrum_total_is_module_dimension():
