@@ -1,18 +1,22 @@
 """The hot loops: dominant representatives and closures, Weyl orbits and the
 Freudenthal recursion.
 
-dominant_rep is the package's one dominant-representative loop.  Orbits are
-walked as trees (see `_orbit`), and each alpha-string of the Freudenthal
-recursion stops at its first dominant weight (see `freudenthal`).
+dominant_rep is the package's one dominant-representative loop.  All the
+orbits of a module are walked as trees in one loop (see `orbits`).  The walk
+gives the module's orbit index, {weight: index of its dominant weight}
+(`orbit_expand`), in which the Freudenthal recursion looks up every step of an
+alpha-string; each string stops at its first dominant weight (see
+`freudenthal`).
 
 Argument conventions:
     n         rank
     alpha     tuple of n tuples, omega-coordinates of the simple roots
     posroots  tuple of omega-coordinate tuples of the positive roots
+    heights   per positive root, its height (sum of its simple-root
+              coefficients); height deficits below lam are sums of these
     pairings  per positive root, the vector of <omega_i, alpha^vee>
     dhalf     per positive root, (alpha, alpha)/2
-    adj, det  adjugate and determinant of the transposed Cartan matrix, so
-              root coefficients of mu are (mu @ adj) / det
+    doms      distinct dominant weights, the roots of an orbit walk
     sform     integer matrix den*(omega_i, omega_j)
     den       the scaling denominator of sform
 """
@@ -20,6 +24,7 @@ Argument conventions:
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, mul, sub
 
 # The only kernel implementation; perfbench/run.py reads this name.
 BACKEND = "pure"
@@ -47,39 +52,32 @@ def dominant_rep(coords, alpha, n):
             return tuple(c), tuple(word)
 
 
-def _deficit(lam, mu, adj, det, n):
-    """Height of lam - mu over the simple roots (must be a nonneg integer)."""
-    total = 0
-    for j in range(n):
-        acc = 0
-        for i in range(n):
-            acc += (lam[i] - mu[i]) * adj[i][j]
-        total += acc
-    assert total % det == 0
-    return total // det
-
-
-def dominant_subdominants(n, alpha, posroots, adj, det, lam):
+def dominant_subdominants(posroots, heights, lam):
     """All dominant weights subdominant to dominant lam, sorted by increasing
     height deficit then lexicographically.
 
     Uses the positive-root downward walk on dominant weights; every dominant
     weight below lam is reachable this way because each strict dominance step
     between dominant weights refines into positive-root steps through
-    dominant weights.
+    dominant weights.  The deficit of mu is the height of lam - mu, which does
+    not depend on the path, so each weight takes its parent's deficit plus the
+    height of the root stepped down by.
     """
-    seen = {lam}
+    steps = tuple(zip(posroots, heights))
+    deficit = {lam: 0}
     frontier = [lam]
     while frontier:
         new = []
         for mu in frontier:
-            for root in posroots:
-                cand = tuple(a - b for a, b in zip(mu, root))
-                if cand not in seen and all(x >= 0 for x in cand):
-                    seen.add(cand)
+            d = deficit[mu]
+            for root, h in steps:
+                cand = tuple(map(sub, mu, root))
+                if cand not in deficit and min(cand) >= 0:
+                    deficit[cand] = d + h
                     new.append(cand)
         frontier = new
-    return sorted(seen, key=lambda m: (_deficit(lam, m, adj, det, n), m))
+    # Lexicographic first, then a stable sort by deficit.
+    return sorted(sorted(deficit), key=deficit.__getitem__)
 
 
 @lru_cache(maxsize=64)
@@ -96,16 +94,19 @@ def _neighbours(alpha):
     return near, later
 
 
-def _orbit(n, alpha, start):
-    """The Weyl orbit of start, each weight once, in no fixed order.
+def orbits(n, alpha, doms):
+    """The Weyl orbits of the distinct dominant weights doms, each weight once,
+    in no fixed order: (weights, owner), where owner[k] is the index in doms
+    of the dominant weight in the orbit of weights[k].
 
     The parent of a non-dominant nu is s_i nu for i the first negative
-    coordinate of nu (dominant_rep's step), so the orbit is a tree rooted at
+    coordinate of nu (dominant_rep's step), so each orbit is a tree rooted at
     its dominant weight.  Reverse search (Avis-Fukuda) walks it down: a child
     s_i mu of mu (mu_i > 0, so the child's i-th coordinate is negative) is
-    kept iff the child's coordinates before i are all >= 0.
+    kept iff the child's coordinates before i are all >= 0.  The list starts
+    with every root, and one loop walks all the trees.
 
-    Each listed weight carries f, its first negative coordinate (n for the
+    Each listed weight carries f, its first negative coordinate (n for a
     dominant weight), which is the i that made it.  For i < f the child is kept
     with no test: for j < i, mu_j >= 0 and child_j = mu_j - mu_i alpha[i][j]
     >= mu_j.  For i > f, child_f = mu_f < 0 unless i is a neighbour of f, so
@@ -113,11 +114,21 @@ def _orbit(n, alpha, start):
     kept if its coordinates strictly between f and i are >= 0 too (those
     before f are, by the same bound).  s_i changes only coordinate i (to
     -mu_i) and i's Dynkin neighbours, so a child is built by updating those.
+
+    The walk keeps no seen-set, so it relies on its roots: from a non-dominant
+    root it lists a wrong part of the orbit, and a repeated root lists its
+    orbit twice.  Such a start raises ValueError before any weight is listed.
     """
+    out = [tuple(d) for d in doms]
+    if min(map(min, out), default=0) < 0:
+        raise ValueError("orbit walk needs dominant starts")
+    if len(set(out)) != len(out):
+        raise ValueError("orbit walk needs distinct starts")
     near, later = _neighbours(alpha)
-    out = [dominant_rep(start, alpha, n)[0]]
-    firsts = [n]
-    for mu, f in zip(out, firsts):
+    firsts = [n] * len(out)
+    owner = list(range(len(out)))
+    push, pushf, pusho = out.append, firsts.append, owner.append
+    for mu, f, o in zip(out, firsts, owner):
         for i in range(f):
             ci = mu[i]
             if ci > 0:
@@ -125,8 +136,9 @@ def _orbit(n, alpha, start):
                 child[i] = -ci
                 for j, a in near[i]:
                     child[j] -= ci * a
-                out.append(tuple(child))
-                firsts.append(i)
+                push(tuple(child))
+                pushf(i)
+                pusho(o)
         if f < n:
             mf = mu[f]
             for i, af in later[f]:
@@ -137,9 +149,15 @@ def _orbit(n, alpha, start):
                     for j, a in near[i]:
                         child[j] -= ci * a
                     if min(child[f + 1:i], default=0) >= 0:
-                        out.append(tuple(child))
-                        firsts.append(i)
-    return out
+                        push(tuple(child))
+                        pushf(i)
+                        pusho(o)
+    return out, owner
+
+
+def _orbit(n, alpha, start):
+    """The Weyl orbit of start, each weight once, in no fixed order."""
+    return orbits(n, alpha, (dominant_rep(start, alpha, n)[0],))[0]
 
 
 def weyl_orbit(n, alpha, start):
@@ -147,13 +165,11 @@ def weyl_orbit(n, alpha, start):
     return sorted(_orbit(n, alpha, start))
 
 
-def orbit_expand(n, alpha, reps, mults):
-    """Expand multiplicities from dominant representatives to full orbits."""
-    out = {}
-    for rep, m in zip(reps, mults):
-        for w in _orbit(n, alpha, rep):
-            out[w] = m
-    return out
+def orbit_expand(n, alpha, doms):
+    """The orbit index of the distinct dominant weights doms: {weight: index
+    in doms of its dominant weight} over all their Weyl orbits."""
+    weights, owner = orbits(n, alpha, doms)
+    return dict(zip(weights, owner))
 
 
 def _quad(coords, sform, n):
@@ -167,13 +183,18 @@ def _quad(coords, sform, n):
     return total
 
 
-def freudenthal(n, alpha, posroots, pairings, dhalf, adj, det, sform, den, lam):
+def freudenthal(n, alpha, posroots, pairings, dhalf, heights, sform, den, lam):
     """Multiplicities of the dominant weights of the irreducible module with
     highest weight lam, via the Freudenthal recursion.
 
-    Returns (doms, mults) with doms sorted by increasing height deficit; the
-    recursion fills multiplicities in that order, using Weyl invariance to
-    look up only dominant representatives.
+    Returns (doms, mults, index): doms sorted by increasing height deficit,
+    mults[i] the multiplicity of doms[i], and index the module's orbit index
+    {weight: i with doms[i] its dominant weight} (see orbit_expand).  In
+    characteristic 0 the weight set is the union of the Weyl orbits of all
+    dominant mu <= lam, so index lists exactly the module's weights, and a
+    string step nu is looked up as index.get(nu): by Weyl invariance nu has
+    the multiplicity of its dominant weight, and nu is not a weight if absent.
+    The recursion fills multiplicities in the order of doms.
 
     For each dominant mu and positive root alpha the string sum
     S_alpha(mu) = sum_{k>=1} m(mu+k alpha) (mu+k alpha, alpha) is stored, so
@@ -187,43 +208,36 @@ def freudenthal(n, alpha, posroots, pairings, dhalf, adj, det, sform, den, lam):
     dominant chamber never returns to it, so the stored sum is picked up at
     mu+alpha or not at all.
     """
-    doms = dominant_subdominants(n, alpha, posroots, adj, det, lam)
-    index = {c: i for i, c in enumerate(doms)}
-    nroots = len(posroots)
-    lam_rho = tuple(x + 1 for x in lam)
-    qlam = _quad(lam_rho, sform, n)
+    doms = dominant_subdominants(posroots, heights, lam)
+    # Through the module global, so that a wrapper installed on it sees the call.
+    index = orbit_expand(n, alpha, doms)
+    get = index.get
+    steps = tuple(zip(posroots, pairings, dhalf))
+    qlam = _quad([x + 1 for x in lam], sform, n)
     mults = [0] * len(doms)
     mults[0] = 1
     # suffix[i][r] = S_alpha(doms[i]) for alpha = posroots[r]; nothing lies above lam
-    suffix = [[0] * nroots]
+    suffix = [[0] * len(steps)]
     for idx in range(1, len(doms)):
         mu = doms[idx]
-        sums = [0] * nroots
-        for r in range(nroots):
-            root = posroots[r]
-            pv = pairings[r]
-            d = dhalf[r]
-            nu = list(mu)
+        sums = []
+        for r, (root, pv, d) in enumerate(steps):
+            nu = mu
             s = 0
             while True:
-                pair = 0
-                for j in range(n):
-                    nu[j] += root[j]
-                    pair += nu[j] * pv[j]
-                rep = dominant_rep(nu, alpha, n)[0]
-                j2 = index.get(rep)
+                nu = tuple(map(add, nu, root))
+                j2 = get(nu)
                 if j2 is None:
                     break
-                s += mults[j2] * d * pair
+                s += mults[j2] * d * sum(map(mul, nu, pv))
                 if min(nu) >= 0:
                     s += suffix[j2][r]
                     break
-            sums[r] = s
+            sums.append(s)
         suffix.append(sums)
-        mu_rho = tuple(x + 1 for x in mu)
-        denom = qlam - _quad(mu_rho, sform, n)
+        denom = qlam - _quad([x + 1 for x in mu], sform, n)
         num = 2 * den * sum(sums)
         if denom <= 0 or num % denom:
             raise AssertionError("Freudenthal recursion produced a non-integer")
         mults[idx] = num // denom
-    return doms, mults
+    return doms, mults, index

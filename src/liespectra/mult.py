@@ -9,6 +9,7 @@ characteristic-0 values.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -16,7 +17,7 @@ from operator import mul
 
 from .exceptions import DatumMismatchError, ResourceLimitError
 from .rootdata import RootDatum, Weight, e_constant
-from .weights import DEFAULT_ORBIT_BOUND, orbit_size, subdominant_weights
+from .weights import DEFAULT_ORBIT_BOUND
 from . import kernels
 
 DEFAULT_DIM_BOUND = 1_000_000
@@ -121,20 +122,28 @@ def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):
     union of the Weyl orbits of all dominant weights subdominant to lam.
 
     Valid as the exact weight set for p = 0 or p > e(G) with lam
-    p-restricted (see validity_note).
+    p-restricted (see validity_note).  The orbit of a dominant mu has
+    |W| / |W_J| weights, J the zero coordinates of mu, so the set's size is
+    checked against orbit_bound before any orbit is walked.
     """
     if not lam.is_dominant:
         raise ValueError(f"weight set enumeration needs a dominant weight, got {lam}")
     datum = lam.datum
-    doms = subdominant_weights(lam)
-    total = sum(orbit_size(m) for m in doms)
+    doms = kernels.dominant_subdominants(
+        datum.positive_root_coords, datum.positive_root_heights, lam.coords
+    )
+    order = datum.weyl_order()
+    supports = Counter(tuple(map(bool, mu)) for mu in doms)
+    total = sum(
+        count * (order // datum.weyl_order(i for i, c in enumerate(nonzero) if not c))
+        for nonzero, count in supports.items()
+    )
     if total > orbit_bound:
         raise ResourceLimitError(
             f"weight set of {lam} has {total} elements, exceeding the orbit bound {orbit_bound}"
         )
-    n, alpha = datum.rank, datum.simple_root_coords
-    orbits = (kernels._orbit(n, alpha, m.coords) for m in doms)
-    return frozenset(Weight._bulk(chain.from_iterable(orbits), datum))
+    weights, _ = kernels.orbits(datum.rank, datum.simple_root_coords, doms)
+    return frozenset(Weight._bulk(weights, datum))
 
 
 def freudenthal_multiplicities(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -> WeightMultiset:
@@ -150,20 +159,18 @@ def freudenthal_multiplicities(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) 
         raise ResourceLimitError(
             f"module {lam} has dimension {dim}, exceeding the dimension bound {dim_bound}"
         )
-    doms, mults = kernels.freudenthal(
+    _, mults, index = kernels.freudenthal(
         datum.rank,
         datum.simple_root_coords,
         datum.positive_root_coords,
         datum.coroot_pairings,
         datum.root_half_lengths,
-        datum.cartan_t_adj,
-        datum.cartan_det,
+        datum.positive_root_heights,
         datum.form_scaled,
         datum.form_denominator,
         lam.coords,
     )
-    full = kernels.orbit_expand(datum.rank, datum.simple_root_coords, doms, mults)
-    entries = dict(zip(Weight._bulk(full, datum), full.values()))
+    entries = dict(zip(Weight._bulk(index, datum), map(mults.__getitem__, index.values())))
     return WeightMultiset(highest=lam, entries=entries, validity=validity_note(datum))
 
 

@@ -223,6 +223,7 @@ class RootDatum:
         self.positive_root_coords = tuple(coords for _, coords, _ in roots)
         self.positive_roots = tuple(Weight(coords, self) for coords in self.positive_root_coords)
         self.root_half_lengths = tuple(half for _, _, half in roots)
+        self.positive_root_heights = tuple(sum(cf) for cf, _, _ in roots)
 
         # The highest root is the unique root of greatest height, and the
         # highest short root the unique short root of greatest height

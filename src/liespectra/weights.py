@@ -106,12 +106,7 @@ def subdominant_weights(lam: Weight):
         raise ValueError(f"subdominant enumeration needs a dominant weight, got {lam}")
     datum = lam.datum
     coords = kernels.dominant_subdominants(
-        datum.rank,
-        datum.simple_root_coords,
-        datum.positive_root_coords,
-        datum.cartan_t_adj,
-        datum.cartan_det,
-        lam.coords,
+        datum.positive_root_coords, datum.positive_root_heights, lam.coords
     )
     return tuple(Weight._bulk(coords, datum))
 

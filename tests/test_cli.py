@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import liespectra.cli as cli
 from liespectra.cli import run
@@ -274,3 +278,45 @@ def test_info_command(capsys):
     payload = json.loads(out)
     assert payload["weyl_order"] == 48
     assert payload["highest_short_root"] == "B3:[1,0,0]"
+
+
+# Ranks of the valid group names drawn below; the invalid names fail to parse
+# or name a rank outside the family's range.
+CLI_GROUPS = {"A1": 1, "A2": 2, "A4": 4, "B2": 2, "B3": 3, "C3": 3, "D4": 4, "E6": 6,
+              "E7": 7, "E8": 8, "F4": 4, "G2": 2}
+CLI_BAD_GROUPS = ["A0", "B1", "D3", "E9", "F3", "G3", "H2", "", "A", "2A", "A-1", "A2.0"]
+CLI_TIME_CAP_S = 5.0
+
+
+@st.composite
+def weights_argv(draw):
+    """A `weights` argv: mostly a valid group and a small dominant highest
+    weight, else a bad group name, a vector of the wrong length, or one
+    negative or huge entry; the dimension bound may be negative."""
+    valid = draw(st.integers(0, 3)) > 0
+    group = draw(st.sampled_from(sorted(CLI_GROUPS) if valid else CLI_BAD_GROUPS))
+    rank = CLI_GROUPS.get(group, 2)
+    length = draw(st.sampled_from([rank] * 4 + [0, rank - 1, rank + 1]))
+    coords = draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))
+    if coords and draw(st.booleans()):
+        bad = st.one_of(st.integers(-10**6, -1), st.integers(10**3, 10**30))
+        coords[draw(st.integers(0, length - 1))] = draw(bad)
+    argv = ["weights", "--group", group, "--highest", f"[{','.join(map(str, coords))}]",
+            "--dim-bound", str(draw(st.one_of(st.just(3000), st.integers(-5, 3000))))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights_argv())
+def test_weights_argv_is_answered_or_rejected_never_crashes(argv):
+    # Every input gets an answer (0), a usage error (2) or a resource-limit
+    # rejection (3); exit 4 would be an internal error.
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert elapsed < CLI_TIME_CAP_S, (argv, elapsed)

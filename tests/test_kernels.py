@@ -2,8 +2,9 @@
 independent second implementation in `oracle_helpers` (Kostant's
 multiplicity formula, the dominant part of the saturated weight set, and a
 breadth-first orbit search).  The `*_backends_agree` tests compare the two on
-fixed cases; the Hypothesis property compares the orbit walk with the
-breadth-first search on drawn weights."""
+fixed cases; the Hypothesis properties compare the orbit walk with the
+breadth-first search on drawn weights, and one walk over several dominant
+starts with the union of their orbits."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,8 +33,7 @@ def _args(datum, lam):
         tuple(r.coords for r in datum.positive_roots),
         datum.coroot_pairings,
         datum.root_half_lengths,
-        datum.cartan_t_adj,
-        datum.cartan_det,
+        datum.positive_root_heights,
         datum.form_scaled,
         datum.form_denominator,
         lam,
@@ -43,7 +43,7 @@ def _args(datum, lam):
 @pytest.mark.parametrize("name,lam", CASES)
 def test_freudenthal_backends_agree(name, lam):
     datum = parse_group(name)
-    doms, mults = kernels.freudenthal(*_args(datum, lam))
+    doms, mults, _ = kernels.freudenthal(*_args(datum, lam))
     assert mults == [oh.kostant_multiplicity(datum, lam, mu) for mu in doms]
 
 
@@ -59,19 +59,18 @@ def test_orbit_backends_agree(name, lam):
 def test_orbit_expand_backends_agree(name, lam):
     datum = parse_group(name)
     n, alpha = datum.rank, datum.simple_root_coords
-    doms, mults = kernels.freudenthal(*_args(datum, lam))
-    expected = {w: m for d, m in zip(doms, mults) for w in oh.weyl_orbit_oracle(n, alpha, d)}
-    assert kernels.orbit_expand(n, alpha, doms, mults) == expected
+    doms, _, index = kernels.freudenthal(*_args(datum, lam))
+    expected = {w: k for k, d in enumerate(doms) for w in oh.weyl_orbit_oracle(n, alpha, d)}
+    assert kernels.orbit_expand(n, alpha, doms) == expected
+    assert index == expected
 
 
-@pytest.mark.parametrize("name,lam", CASES[:4])
+@pytest.mark.parametrize("name,lam", CASES)
 def test_subdominant_backends_agree(name, lam):
     # The kernel's order: height deficit below lam, then lexicographic.
     datum = parse_group(name)
     got = kernels.dominant_subdominants(
-        datum.rank, datum.simple_root_coords,
-        tuple(r.coords for r in datum.positive_roots),
-        datum.cartan_t_adj, datum.cartan_det, lam,
+        tuple(r.coords for r in datum.positive_roots), datum.positive_root_heights, lam
     )
 
     def deficit(mu):
@@ -80,9 +79,9 @@ def test_subdominant_backends_agree(name, lam):
     assert got == sorted(oh.subdominant_oracle(datum, lam), key=lambda mu: (deficit(mu), mu))
 
 
-def test_oversized_inputs_route_to_the_pure_backend():
+def test_a1_6000_has_3001_dominant_weights_all_of_multiplicity_one():
     a1 = build_root_datum("A", 1)
-    doms, mults = kernels.freudenthal(*_args(a1, (6000,)))
+    doms, mults, _ = kernels.freudenthal(*_args(a1, (6000,)))
     assert len(doms) == 3001
     assert set(mults) == {1}
 
@@ -124,8 +123,10 @@ def test_orbit_walk_matches_the_breadth_first_oracle(name):
         assert len(set(kernels._orbit(n, alpha, coords))) == len(orbit)
         assert len(orbit) == orbit_size(datum.weight(coords))
         zero = (0,) * n
-        expanded = kernels.orbit_expand(n, alpha, (coords, zero), (2, 1))
-        assert expanded == {**dict.fromkeys(expected, 2), zero: 1}
+        dom = kernels.dominant_rep(coords, alpha, n)[0]
+        doms = (dom, zero) if any(dom) else (zero,)
+        expanded = kernels.orbit_expand(n, alpha, doms)
+        assert expanded == {**dict.fromkeys(expected, 0), zero: len(doms) - 1}
 
     check()
 
@@ -139,3 +140,48 @@ def test_regular_orbit_lists_every_element_once(name):
     orbit = kernels._orbit(n, alpha, (1,) * n)
     assert len(orbit) == datum.weyl_order()
     assert sorted(orbit) == oh.weyl_orbit_oracle(n, alpha, (1,) * n)
+
+
+ORBITS_LIMIT = 5_000
+
+
+@st.composite
+def dominant_starts(draw, datum):
+    """One to four distinct dominant weights with coordinates in 0..2, each
+    zeroed from the last coordinate down until its orbit has at most
+    ORBITS_LIMIT weights."""
+    starts = []
+    for _ in range(draw(st.integers(1, 4))):
+        coords = draw(st.lists(st.integers(0, 2), min_size=datum.rank, max_size=datum.rank))
+        k = datum.rank
+        while orbit_size(datum.weight(coords)) > ORBITS_LIMIT:
+            k -= 1
+            coords[k] = 0
+        starts.append(tuple(coords))
+    return tuple(dict.fromkeys(starts))
+
+
+@pytest.mark.parametrize("name", ORBIT_TYPES)
+def test_one_walk_lists_the_union_of_the_orbits(name):
+    datum = parse_group(name)
+    n, alpha = datum.rank, datum.simple_root_coords
+
+    @settings(max_examples=5, deadline=None)
+    @given(dominant_starts(datum))
+    def check(doms):
+        weights, owner = kernels.orbits(n, alpha, doms)
+        assert len(owner) == len(weights) == len(set(weights))
+        assert set(weights) == {w for d in doms for w in oh.weyl_orbit_oracle(n, alpha, d)}
+        for w, k in zip(weights, owner):
+            assert doms[k] == kernels.dominant_rep(w, alpha, n)[0]
+
+    check()
+
+
+@pytest.mark.parametrize("doms", [((1, -1),), ((0, 0), (-1, 0)), ((1, 0), (1, 0))])
+def test_orbit_walk_rejects_a_non_dominant_or_repeated_start(doms):
+    # The walk keeps no seen-set: from a non-dominant root it lists a wrong
+    # set of weights, and a repeated root lists its orbit twice.
+    a2 = parse_group("A2")
+    with pytest.raises(ValueError):
+        kernels.orbits(2, a2.simple_root_coords, doms)

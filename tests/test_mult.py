@@ -261,6 +261,22 @@ def test_premet_orbit_bound_rejection():
         premet_weight_set(e7.rho, orbit_bound=1000)
 
 
+@pytest.mark.parametrize(
+    "name,coords", [("A3", (2, 0, 1)), ("B3", (0, 1, 0)), ("G2", (1, 0)), ("A2", (2, 2))]
+)
+def test_premet_orbit_bound_is_exact(name, coords):
+    # Zero coordinates give the dominant weights stabilizers, so the bound
+    # counts |W| / |W_J| per dominant weight; the set's own size must pass.
+    # In A2 (2, 2) the dominant weights (2, 2) and (1, 1) share a support.
+    datum = parse_group(name)
+    lam = datum.weight(coords)
+    expected = oh.weight_set_oracle(datum, coords)
+    size = len(expected)
+    assert coords_set(premet_weight_set(lam, orbit_bound=size)) == expected
+    with pytest.raises(ResourceLimitError):
+        premet_weight_set(lam, orbit_bound=size - 1)
+
+
 def test_validity_note_is_attached():
     c2 = build_root_datum("C", 2)
     ms = freudenthal_multiplicities(c2.fundamental_weight(1))
