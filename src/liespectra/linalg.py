@@ -1,14 +1,12 @@
-"""Small exact linear algebra helpers: Fraction inverses, integer adjugates,
-Hermite and Smith normal forms.
+"""Small exact integer linear algebra: determinant and adjugate by
+fraction-free elimination, Hermite and Smith normal forms.
 
-Everything here works on nested tuples/lists of ints or Fractions; matrices
-are row-major lists of rows.  Sizes stay tiny (rank <= 9), so the quadratic
+Everything here works on nested tuples/lists of ints; matrices are
+row-major lists of rows.  Sizes stay small (rank <= 32), so the quadratic
 and cubic algorithms below are plenty.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def identity_matrix(n):
@@ -21,46 +19,34 @@ def vec_mat(v, m):
     return tuple(sum(v[k] * m[k][j] for k in range(len(v))) for j in range(cols))
 
 
-def invert_exact(a):
-    """Exact inverse of a square integer/Fraction matrix."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+def det_adjugate(a):
+    """Determinant and adjugate of a square integer matrix: (det, adj) with
+    adj = det * a^-1, or (0, None) if a is singular.
 
-
-def int_det(a):
-    """Determinant of an integer matrix via fraction-free elimination."""
+    Bareiss's fraction-free Gauss-Jordan elimination on [a | I] (Math. Comp.
+    22, 1968): after step k every entry is a (k+1)-minor, so each division by
+    the previous pivot is exact, and the last pivot is +-det with the right
+    block +-adj.
+    """
     n = len(a)
-    m = [list(row) for row in a]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev, sign = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        for r in range(col + 1, n):
-            # Bareiss-style elimination keeps entries integral.
-            f = Fraction(m[r][col], m[col][col])
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    for i in range(n):
-        det *= m[i][i]
-    det = Fraction(det)
-    assert det.denominator == 1
-    return int(det)
+            return 0, None
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        rk = m[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                ri = m[i]
+                f = ri[k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def hermite_normal_form(rows):

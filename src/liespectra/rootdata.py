@@ -1,5 +1,11 @@
-"""Root data for the simple types A-G, built from Bourbaki coordinate
-realizations with exact arithmetic.
+"""Root data for the simple types A-G, built in integers from Bourbaki's
+Dynkin diagrams.
+
+The Cartan matrix comes from the diagram's edges and root lengths; one
+fraction-free determinant and adjugate of it give the invariant form on the
+weight lattice, the simple-root coefficients of a weight and, for families
+A-D, the epsilon-coordinates of the fundamental weights.  Rationals remain
+only in those epsilon-coordinates and in ``form`` values.
 
 Conventions (fixed throughout the package):
 
@@ -23,13 +29,15 @@ from functools import lru_cache
 
 from . import kernels
 from .exceptions import DatumMismatchError, UnsupportedRootSystemError
-from .linalg import int_det, invert_exact, vec_mat
+from .linalg import det_adjugate, vec_mat
 
+# Rank ranges per family.  The classical families stop at 32, so a huge rank
+# is rejected before its build, whose cost grows faster than n^3.
 SUPPORTED_RANGES = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (4, None),
+    "A": (1, 32),
+    "B": (2, 32),
+    "C": (2, 32),
+    "D": (4, 32),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -144,70 +152,35 @@ class RootDatum:
         self.family = family
         self.rank = rank
         self.name = f"{family}{rank}"
-        eps_simple, eps_scale = _simple_roots_eps(family, rank)
-        self._eps_scale = eps_scale
-        self._eps_dim = len(eps_simple[0])
-
-        def eform(x, y):
-            return eps_scale * sum(a * b for a, b in zip(x, y))
-
         n = rank
-        lengths = [eform(a, a) for a in eps_simple]
-        if min(lengths) != 2:
-            raise AssertionError("short-root normalization broken")
-        # cartan[i][j] = <alpha_j, alpha_i^vee> = 2(alpha_j, alpha_i)/(alpha_i, alpha_i)
-        cartan = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                val = Fraction(2) * eform(eps_simple[j], eps_simple[i]) / lengths[i]
-                assert val.denominator == 1
-                row.append(int(val))
-            cartan.append(row)
+        d, edges = _dynkin(family, rank)
+        # cartan[i][j] = <alpha_j, alpha_i^vee> = (alpha_i, alpha_j)/d_i, and
+        # joined nodes have (alpha_i, alpha_j) = -max(d_i, d_j).
+        cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i, j in edges:
+            cartan[i][j] = -max(d[i], d[j]) // d[i]
+            cartan[j][i] = -max(d[i], d[j]) // d[j]
         self.cartan = tuple(tuple(r) for r in cartan)
-        assert all(self.cartan[i][i] == 2 for i in range(n))
-        assert all(self.cartan[i][j] <= 0 for i in range(n) for j in range(n) if i != j)
+        self._d = d  # (alpha_i, alpha_i)/2
 
         # Omega-coordinates of alpha_i: i-th column of the Cartan matrix.
         self.simple_root_coords = tuple(
             tuple(self.cartan[j][i] for j in range(n)) for i in range(n)
         )
-        self._d = tuple(length // 2 for length in lengths)  # (alpha_i, alpha_i)/2
 
-        # Fundamental weights in the eps realization: omega_i lies in the span
-        # of the simple roots with <omega_i, alpha_j^vee> = delta_ij.
-        # Over the simple roots omega_i has coefficients (l_i/2) * column i of
-        # the inverse Gram matrix, l_i = (alpha_i, alpha_i).
-        gram_inv = invert_exact(
-            [[eform(eps_simple[i], eps_simple[j]) for j in range(n)] for i in range(n)]
-        )
-        fw_eps = []
-        for i in range(n):
-            x = [Fraction(lengths[i], 2) * gram_inv[k][i] for k in range(n)]
-            vec = tuple(
-                sum(x[k] * Fraction(eps_simple[k][m]) for k in range(n))
-                for m in range(self._eps_dim)
-            )
-            fw_eps.append(vec)
-        self._fw_eps = tuple(fw_eps)
-
-        # Invariant form on the weight lattice: form_matrix[i][j] = (omega_i, omega_j).
+        # adj = det * cartan^-1, so omega_i = sum_k adj[k][i]/det alpha_k and
+        # (omega_i, omega_k) = d_k adj[k][i]/det.
+        det, adj = det_adjugate(cartan)
+        self.cartan_det = det
+        self.cartan_t_adj = tuple(tuple(adj[j][i] for j in range(n)) for i in range(n))
+        raw = [[d[k] * adj[k][i] for k in range(n)] for i in range(n)]
+        g = math.gcd(det, *(x for row in raw for x in row))
+        # Invariant form on the weight lattice:
+        # form_matrix[i][j] = (omega_i, omega_j) = form_scaled[i][j] / form_denominator.
+        self.form_denominator = det // g
+        self.form_scaled = tuple(tuple(x // g for x in row) for row in raw)
         self.form_matrix = tuple(
-            tuple(eps_scale * sum(a * b for a, b in zip(fw_eps[i], fw_eps[j])) for j in range(n))
-            for i in range(n)
-        )
-        self.form_denominator = math.lcm(
-            *(x.denominator for row in self.form_matrix for x in row)
-        )
-        self.form_scaled = tuple(
-            tuple(int(x * self.form_denominator) for x in row) for row in self.form_matrix
-        )
-
-        ct = [[self.cartan[j][i] for j in range(n)] for i in range(n)]  # transpose
-        self.cartan_det = int_det(ct)
-        inv = invert_exact(ct)
-        self.cartan_t_adj = tuple(
-            tuple(int(inv[i][j] * self.cartan_det) for j in range(n)) for i in range(n)
+            tuple(Fraction(x, self.form_denominator) for x in row) for row in self.form_scaled
         )
 
         self.rho = Weight((1,) * n, self)
@@ -248,7 +221,17 @@ class RootDatum:
         self._levels = {}  # dominant coords -> weights.weight_level
         self._strata = {}  # depth -> torus.canonical_root_strata
 
-        self.epsilon_map = self._fw_eps if family in "ABCD" else None
+        # Bourbaki epsilon-coordinates of omega_i = sum_j adj[j][i]/det alpha_j.
+        self.epsilon_map = None
+        if family in "ABCD":
+            eps_simple = _simple_roots_eps(family, rank)
+            self.epsilon_map = tuple(
+                tuple(
+                    Fraction(sum(adj[j][i] * a[m] for j, a in enumerate(eps_simple)), det)
+                    for m in range(len(eps_simple[0]))
+                )
+                for i in range(n)
+            )
 
     # -- construction helpers -------------------------------------------------
 
@@ -302,13 +285,11 @@ class RootDatum:
 
     def form(self, mu, nu):
         """Invariant symmetric bilinear form (mu, nu), exact rational."""
-        total = Fraction(0)
-        for i, a in enumerate(mu.coords):
+        total = 0
+        for a, row in zip(mu.coords, self.form_scaled):
             if a:
-                for j, b in enumerate(nu.coords):
-                    if b:
-                        total += a * b * self.form_matrix[i][j]
-        return total
+                total += a * sum(b * x for b, x in zip(nu.coords, row))
+        return Fraction(total, self.form_denominator)
 
     def weyl_order(self, support=None):
         """Order of the Weyl group, or of the parabolic generated by the
@@ -340,71 +321,45 @@ class RootDatum:
         return f"RootDatum({self.family!r}, {self.rank})"
 
 
-def _simple_roots_eps(family, rank):
-    """Bourbaki simple roots in an ambient coordinate space, plus the scale c
-    such that (e_i, e_j) = c * delta_ij makes short roots have squared length 2."""
+def _dynkin(family, rank):
+    """Bourbaki's Dynkin diagram (Lie VI, Plates I-IX): d_i = (alpha_i,
+    alpha_i)/2, short roots having d = 1, and the 0-based pairs of joined
+    nodes."""
     n = rank
-    if family == "A":
-        roots = []
-        for i in range(n):
-            v = [0] * (n + 1)
-            v[i], v[i + 1] = 1, -1
-            roots.append(tuple(v))
-        return roots, 1
+    edges = [(i, i + 1) for i in range(n - 1)]
+    d = (1,) * n
     if family == "B":
-        roots = []
-        for i in range(n - 1):
-            v = [0] * n
-            v[i], v[i + 1] = 1, -1
-            roots.append(tuple(v))
-        v = [0] * n
-        v[n - 1] = 1
+        d = (2,) * (n - 1) + (1,)
+    elif family == "C":
+        d = (1,) * (n - 1) + (2,)
+    elif family == "D":
+        edges[-1] = (n - 3, n - 1)
+    elif family == "E":
+        edges = [(0, 2), (1, 3)] + edges[2:]
+    elif family == "F":
+        d = (2, 2, 1, 1)
+    elif family == "G":
+        d = (1, 3)
+    return d, edges
+
+
+def _simple_roots_eps(family, rank):
+    """Bourbaki simple roots of families A-D in epsilon-coordinates."""
+    n = rank
+    width = n + 1 if family == "A" else n
+    roots = []
+    for i in range(n - (family != "A")):
+        v = [0] * width
+        v[i], v[i + 1] = 1, -1
         roots.append(tuple(v))
-        return roots, 2
-    if family == "C":
-        roots = []
-        for i in range(n - 1):
-            v = [0] * n
-            v[i], v[i + 1] = 1, -1
-            roots.append(tuple(v))
+    if family != "A":
         v = [0] * n
-        v[n - 1] = 2
+        if family == "D":
+            v[n - 2] = v[n - 1] = 1
+        else:
+            v[n - 1] = 1 if family == "B" else 2
         roots.append(tuple(v))
-        return roots, 1
-    if family == "D":
-        roots = []
-        for i in range(n - 1):
-            v = [0] * n
-            v[i], v[i + 1] = 1, -1
-            roots.append(tuple(v))
-        v = [0] * n
-        v[n - 2], v[n - 1] = 1, 1
-        roots.append(tuple(v))
-        return roots, 1
-    if family == "G":
-        return [(1, -1, 0), (-2, 1, 1)], 1
-    if family == "F":
-        h = Fraction(1, 2)
-        return [
-            (0, 1, -1, 0),
-            (0, 0, 1, -1),
-            (0, 0, 0, 1),
-            (h, -h, -h, -h),
-        ], 2
-    if family == "E":
-        h = Fraction(1, 2)
-        alpha = [
-            (h, -h, -h, -h, -h, -h, -h, h),
-            (1, 1, 0, 0, 0, 0, 0, 0),
-            (-1, 1, 0, 0, 0, 0, 0, 0),
-            (0, -1, 1, 0, 0, 0, 0, 0),
-            (0, 0, -1, 1, 0, 0, 0, 0),
-            (0, 0, 0, -1, 1, 0, 0, 0),
-            (0, 0, 0, 0, -1, 1, 0, 0),
-            (0, 0, 0, 0, 0, -1, 1, 0),
-        ]
-        return alpha[:n], 1
-    raise UnsupportedRootSystemError(f"unknown family {family!r}")
+    return roots
 
 
 _cached_root_datum = lru_cache(maxsize=None)(RootDatum)
@@ -413,7 +368,7 @@ _cached_root_datum = lru_cache(maxsize=None)(RootDatum)
 def build_root_datum(family: str, rank: int) -> RootDatum:
     """Construct (or fetch the cached) root datum for a simple type.
 
-    Supported: A n>=1, B n>=2, C n>=2, D n>=4, E6/E7/E8, F4, G2.  The
+    Supported: A 1..32, B 2..32, C 2..32, D 4..32, E6/E7/E8, F4, G2.  The
     arguments are validated and the family upper-cased before the cache is
     consulted, so ("a", 3) and ("A", 3) give the same datum.
     """
@@ -423,15 +378,9 @@ def build_root_datum(family: str, rank: int) -> RootDatum:
             f"unknown family {family!r}; valid families are A, B, C, D, E, F, G"
         )
     lo, hi = SUPPORTED_RANGES[family]
-    if (
-        isinstance(rank, bool)
-        or not isinstance(rank, int)
-        or rank < lo
-        or (hi is not None and rank > hi)
-    ):
-        span = f"{lo}..{hi}" if hi is not None else f">={lo}"
+    if isinstance(rank, bool) or not isinstance(rank, int) or not lo <= rank <= hi:
         raise UnsupportedRootSystemError(
-            f"{family}{rank} is not supported; valid ranks for {family} are {span}"
+            f"{family}{rank} is not supported; valid ranks for {family} are {lo}..{hi}"
         )
     return _cached_root_datum(family, rank)
 
@@ -468,7 +417,7 @@ def epsilon_values(datum: RootDatum, mu: Weight) -> tuple:
         )
     if mu.datum is not datum:
         raise DatumMismatchError("weight bound to a different datum")
-    dim = datum._eps_dim
+    dim = len(datum.epsilon_map[0])
     out = [Fraction(0)] * dim
     for c, vec in zip(mu.coords, datum.epsilon_map):
         if c:

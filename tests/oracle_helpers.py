@@ -4,14 +4,17 @@ These deliberately avoid the library's production code paths: dominance is
 decided by Fraction-valued Gaussian elimination, weight sets by the
 simple-root downward closure over all intermediate weights, multiplicities
 by the alternating Kostant partition-function sum over the full Weyl group,
-characters by summing Fractions over the fundamental weights.
+characters by summing Fractions over the fundamental weights, root data
+from the Bourbaki epsilon-realizations and a Fraction Gram inverse.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 from liespectra.linalg import hermite_normal_form
 from liespectra.torus import ValueGroupElement
@@ -35,6 +38,120 @@ def root_coefficients_oracle(datum, coords):
     if any(c.denominator != 1 for c in coeffs):
         return None
     return tuple(int(c) for c in coeffs)
+
+
+def fraction_inverse_det(a):
+    """(inverse, determinant) of a square integer matrix by Fraction
+    Gauss-Jordan elimination with row swaps; (None, 0) if it is singular."""
+    n = len(a)
+    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None, 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        pv = m[col][col]
+        det *= pv
+        m[col] = [x / pv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    assert det.denominator == 1
+    return [row[n:] for row in m], int(det)
+
+
+def _simple_roots_eps_oracle(family, rank):
+    """Bourbaki simple roots of every type in an ambient coordinate space
+    (Lie VI, Plates I-IX), plus the scale c such that (e_i, e_j) = c delta_ij
+    gives short roots squared length 2."""
+    n = rank
+    chain = []
+    for i in range(n - (family != "A")):
+        v = [0] * (n + (family == "A"))
+        v[i], v[i + 1] = 1, -1
+        chain.append(tuple(v))
+    if family == "A":
+        return chain, 1
+    last = [0] * n
+    if family == "B":
+        last[n - 1] = 1
+        return chain + [tuple(last)], 2
+    if family == "C":
+        last[n - 1] = 2
+        return chain + [tuple(last)], 1
+    if family == "D":
+        last[n - 2] = last[n - 1] = 1
+        return chain + [tuple(last)], 1
+    if family == "G":
+        return [(1, -1, 0), (-2, 1, 1)], 1
+    h = Fraction(1, 2)
+    if family == "F":
+        return [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (h, -h, -h, -h)], 2
+    assert family == "E"
+    alpha = [
+        (h, -h, -h, -h, -h, -h, -h, h),
+        (1, 1, 0, 0, 0, 0, 0, 0),
+        (-1, 1, 0, 0, 0, 0, 0, 0),
+        (0, -1, 1, 0, 0, 0, 0, 0),
+        (0, 0, -1, 1, 0, 0, 0, 0),
+        (0, 0, 0, -1, 1, 0, 0, 0),
+        (0, 0, 0, 0, -1, 1, 0, 0),
+        (0, 0, 0, 0, 0, -1, 1, 0),
+    ]
+    return alpha[:n], 1
+
+
+def root_datum_oracle(family, rank):
+    """The integer and rational data of a root datum, derived from its
+    epsilon-realization: the Cartan matrix from the Gram matrix of the simple
+    roots, the fundamental weights from the Gram inverse in Fractions.
+    Attribute names match RootDatum's."""
+    eps_simple, scale = _simple_roots_eps_oracle(family, rank)
+    n = rank
+
+    def eform(x, y):
+        return scale * sum(Fraction(a) * b for a, b in zip(x, y))
+
+    lengths = [eform(a, a) for a in eps_simple]
+    assert min(lengths) == 2
+    cartan = []
+    for i in range(n):
+        row = [2 * eform(eps_simple[j], eps_simple[i]) / lengths[i] for j in range(n)]
+        assert all(x.denominator == 1 for x in row)
+        cartan.append(tuple(int(x) for x in row))
+    gram_inv, _ = fraction_inverse_det(
+        [[eform(eps_simple[i], eps_simple[j]) for j in range(n)] for i in range(n)]
+    )
+    # omega_i = sum_k (l_i/2) gram_inv[k][i] alpha_k, l_i = (alpha_i, alpha_i).
+    fw_eps = tuple(
+        tuple(
+            sum(lengths[i] / 2 * gram_inv[k][i] * eps_simple[k][m] for k in range(n))
+            for m in range(len(eps_simple[0]))
+        )
+        for i in range(n)
+    )
+    form_matrix = tuple(tuple(eform(x, y) for y in fw_eps) for x in fw_eps)
+    den = 1
+    for row in form_matrix:
+        for x in row:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+    ct = [[cartan[j][i] for j in range(n)] for i in range(n)]
+    inv, det = fraction_inverse_det(ct)
+    return SimpleNamespace(
+        cartan=tuple(cartan),
+        _d=tuple(int(x / 2) for x in lengths),
+        form_matrix=form_matrix,
+        form_denominator=den,
+        form_scaled=tuple(tuple(int(x * den) for x in row) for row in form_matrix),
+        cartan_det=det,
+        cartan_t_adj=tuple(tuple(int(x * det) for x in row) for row in inv),
+        epsilon_map=fw_eps if family in "ABCD" else None,
+    )
 
 
 def leq_oracle(datum, mu, lam):

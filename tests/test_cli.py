@@ -320,3 +320,42 @@ def test_weights_argv_is_answered_or_rejected_never_crashes(argv):
     elapsed = time.perf_counter() - start
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert elapsed < CLI_TIME_CAP_S, (argv, elapsed)
+
+
+def test_info_rejects_a_huge_rank_before_the_build(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "info", "--group", "A1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert "valid ranks for A are 1..32" in err
+
+
+@st.composite
+def info_argv(draw):
+    """An `info` argv: a family letter (either case) with a rank 0-2000,
+    half the time near the ranks the families support, or a junk string;
+    with or without --json."""
+    if draw(st.integers(0, 4)):
+        family = draw(st.sampled_from("ABCDEFGabcdefg"))
+        rank = draw(st.one_of(st.integers(0, 40), st.integers(0, 2000)))
+        group = f"{family}{rank}"
+    else:
+        group = draw(st.text(max_size=6))
+    argv = ["info", "--group", group]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(info_argv())
+def test_info_argv_is_answered_or_rejected_never_crashes(argv):
+    # Every group name gets an answer (0) or a usage error (2), ranks above
+    # the family's range included; exit 4 would be an internal error.
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert elapsed < CLI_TIME_CAP_S, (argv, elapsed)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracle_helpers as oh
-
+import liespectra.rootdata as rootdata
 from liespectra import (
     DatumMismatchError,
     UnsupportedRootSystemError,
@@ -93,6 +93,20 @@ def test_form_normalization_and_cartan_recovery(name):
         for j, aj in enumerate(datum.simple_roots):
             val = 2 * datum.form(aj, ai) / datum.form(ai, ai)
             assert val == datum.cartan[i][j]
+
+
+ORACLE_ATTRIBUTES = ("cartan", "_d", "form_matrix", "form_scaled", "form_denominator",
+                     "cartan_det", "cartan_t_adj", "epsilon_map")
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_8 + [f"A{n}" for n in range(9, 13)])
+def test_datum_matches_the_epsilon_realization_oracle(name):
+    # The datum comes from the Dynkin diagram and one integer adjugate; the
+    # oracle from the epsilon-realization and a Fraction Gram inverse.
+    datum = parse_group(name)
+    oracle = oh.root_datum_oracle(datum.family, datum.rank)
+    for attr in ORACLE_ATTRIBUTES:
+        assert getattr(datum, attr) == getattr(oracle, attr), attr
 
 
 @pytest.mark.parametrize("name", RANK_AT_MOST_8)
@@ -221,7 +235,8 @@ def test_epsilon_rejected_for_exceptional_families():
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 4), ("H", 2)],
+    [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 4), ("H", 2),
+     ("A", 33), ("B", 33), ("C", 1000), ("D", 33)],
 )
 def test_unsupported_pairs_rejected(family, rank):
     with pytest.raises(UnsupportedRootSystemError) as err:
@@ -312,6 +327,15 @@ def test_bool_rank_rejected_without_poisoning_the_cache():
         build_root_datum("A", True)
     a1 = build_root_datum("A", 1)
     assert a1.name == "A1" and a1.rank == 1 and type(a1.rank) is int
+
+
+def test_rank_above_the_range_rejected_before_the_build():
+    cache_info = rootdata._cached_root_datum.cache_info
+    before = cache_info()
+    with pytest.raises(UnsupportedRootSystemError, match="valid ranks for A are 1..32"):
+        build_root_datum("A", 33)
+    assert cache_info() == before  # the cached constructor never ran
+    assert build_root_datum("A", 32).rank == 32
 
 
 def test_weight_is_slotted_and_immutable():
