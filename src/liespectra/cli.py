@@ -40,7 +40,7 @@ def parse_weight_text(text: str, datum: RootDatum | None = None) -> Weight:
     items = [p.strip() for p in body[1:-1].split(",")] if body != "[]" else []
     coords = []
     for p in items:
-        if not p or not (p.lstrip("+-").isdigit()):
+        if not (p[1:] if p[:1] in ("+", "-") else p).isdecimal():
             raise ValueError(f"weight {text!r}: bad coordinate token {p!r}")
         coords.append(int(p))
     if len(coords) != datum.rank:

@@ -10,13 +10,12 @@ characteristic-0 values.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import mul
 
 from .exceptions import DatumMismatchError, ResourceLimitError
-from .rootdata import RootDatum, Weight, e_constant
+from .rootdata import FrozenRecord, RootDatum, Weight, e_constant
 from .weights import DEFAULT_ORBIT_BOUND
 from . import kernels
 
@@ -30,17 +29,21 @@ def validity_note(datum: RootDatum) -> str:
     )
 
 
-@dataclass(frozen=True)
-class WeightMultiset:
+class WeightMultiset(FrozenRecord):
     """Weights of an irreducible module with their multiplicities.
 
     The layout read by spectrum evaluation (``columns_by_multiplicity``,
     ``max_abs_coordinate``, ``label``) is gathered once, on first use, so
     ``entries`` must not change after it is read."""
 
-    highest: Weight
-    entries: dict  # Weight -> positive int
-    validity: str
+    _fields = ("highest", "entries", "validity")
+    __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached properties
+
+    def __init__(self, highest: Weight, entries: dict, validity: str):
+        # entries: Weight -> positive int
+        _set_highest(self, highest)
+        _set_entries(self, entries)
+        _set_validity(self, validity)
 
     @cached_property
     def columns_by_multiplicity(self):
@@ -90,6 +93,11 @@ class WeightMultiset:
             return (sum(coeffs), w.coords)
 
         return sorted(self.entries.items(), key=key)
+
+
+_set_highest = WeightMultiset.highest.__set__
+_set_entries = WeightMultiset.entries.__set__
+_set_validity = WeightMultiset.validity.__set__
 
 
 def weyl_dimension(lam: Weight) -> int:

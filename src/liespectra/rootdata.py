@@ -26,6 +26,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 from . import kernels
 from .exceptions import DatumMismatchError, UnsupportedRootSystemError
@@ -54,13 +55,65 @@ POSITIVE_ROOT_COUNTS = {
 }
 
 
-class Weight:
+class Record:
+    """Base of the package's value types: plain slotted classes that compare,
+    copy and print by the fields named in ``_fields`` (two or more).  The
+    methods are written once here rather than generated per class, so
+    importing the package runs no code generation and imports no
+    ``inspect``.
+
+    Equality holds only between instances of the same class.  A subclass
+    defines ``__slots__`` and an explicit ``__init__``; ``copy`` and
+    ``pickle`` rebuild an instance by calling the class on its fields.  A
+    Record is mutable and unhashable; see ``FrozenRecord``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            cls._astuple = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self) == self._astuple(other)
+
+    def __reduce__(self):
+        return (self.__class__, self._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """Immutable Record: setting or deleting an attribute raises
+    AttributeError, and the hash is that of the field tuple (so a record
+    with a dict field is unhashable).  ``__init__`` sets the slots through
+    their descriptors, e.g. ``_set_x = Cls.x.__set__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+
+class Weight(FrozenRecord):
     """Integer vector in the fundamental-weight basis, bound to a datum.
 
     Immutable: setting or deleting an attribute raises AttributeError.
     """
 
-    __slots__ = ("coords", "datum")
+    __slots__ = _fields = ("coords", "datum")
 
     def __init__(self, coords: tuple, datum: "RootDatum"):
         if len(coords) != datum.rank:
@@ -82,15 +135,6 @@ class Weight:
             _set_datum(w, datum)
             append(w)
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (Weight, (self.coords, self.datum))
 
     def __repr__(self):
         return f"Weight(coords={self.coords!r})"
@@ -219,6 +263,7 @@ class RootDatum:
         self._indices = frozenset(range(n))
         self._weyl_orders = {}
         self._levels = {}  # dominant coords -> weights.weight_level
+        self._level_steps = None  # weights._level_steps
         self._strata = {}  # depth -> torus.canonical_root_strata
 
         # Bourbaki epsilon-coordinates of omega_i = sum_j adj[j][i]/det alpha_j.
@@ -392,7 +437,7 @@ build_root_datum.cache_clear = _cached_root_datum.cache_clear
 def parse_group(text: str) -> RootDatum:
     """Parse a group name like 'A3' or 'E8'."""
     text = text.strip()
-    if len(text) < 2 or text[0].upper() not in SUPPORTED_RANGES or not text[1:].isdigit():
+    if len(text) < 2 or text[0].upper() not in SUPPORTED_RANGES or not text[1:].isdecimal():
         raise UnsupportedRootSystemError(
             f"cannot parse group {text!r}; expected FAMILY + rank, e.g. A3, C2, E8"
         )

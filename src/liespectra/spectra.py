@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, islice
 from operator import add, itemgetter
 
 from .exceptions import DatumMismatchError
 from .mult import DEFAULT_DIM_BOUND, WeightMultiset, freudenthal_multiplicities
-from .rootdata import Weight
+from .rootdata import FrozenRecord, Weight
 from .torus import TorusElement, ValueGroupElement
 
 
@@ -21,8 +20,7 @@ class SpectrumKind(enum.Enum):
     NOT_ALMOST_SIMPLE = "not-almost-simple"
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(FrozenRecord):
     """Multiset of value-group elements with multiplicities.
 
     Entries are stored in the canonical value order (torsion as a reduced
@@ -30,9 +28,13 @@ class Spectrum:
     byte-stable across runs.
     """
 
-    entries: tuple  # ((ValueGroupElement, int), ...) canonically sorted
-    source: tuple = ("", "")
-    validity: str = ""
+    __slots__ = _fields = ("entries", "source", "validity")
+
+    def __init__(self, entries: tuple, source: tuple = ("", ""), validity: str = ""):
+        # entries: ((ValueGroupElement, int), ...) canonically sorted
+        _set_entries(self, entries)
+        _set_source(self, source)
+        _set_validity(self, validity)
 
     @staticmethod
     def from_dict(d, source=("", ""), validity=""):
@@ -57,11 +59,24 @@ class Spectrum:
         return all(d.get(-v, 0) == m for v, m in d.items())
 
 
-@dataclass(frozen=True)
-class SpectrumClass:
-    kind: SpectrumKind
-    heavy_value: ValueGroupElement | None
-    max_multiplicity: int
+_set_entries = Spectrum.entries.__set__
+_set_source = Spectrum.source.__set__
+_set_validity = Spectrum.validity.__set__
+
+
+class SpectrumClass(FrozenRecord):
+    __slots__ = _fields = ("kind", "heavy_value", "max_multiplicity")
+
+    def __init__(self, kind: SpectrumKind, heavy_value: ValueGroupElement | None,
+                 max_multiplicity: int):
+        _set_kind(self, kind)
+        _set_heavy_value(self, heavy_value)
+        _set_max_multiplicity(self, max_multiplicity)
+
+
+_set_kind = SpectrumClass.kind.__set__
+_set_heavy_value = SpectrumClass.heavy_value.__set__
+_set_max_multiplicity = SpectrumClass.max_multiplicity.__set__
 
 
 def spectrum(s: TorusElement, lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -> Spectrum:

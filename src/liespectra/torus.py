@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import string
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -22,19 +20,30 @@ from operator import mul
 
 from .exceptions import DatumMismatchError, UnsupportedRootSystemError
 from .linalg import hermite_normal_form, smith_normal_form
-from .rootdata import RootDatum, Weight
+from .rootdata import FrozenRecord, RootDatum, Weight
 
 # Stratum elements are decorated with roots of unity of order at most this.
 MAX_TORSION_ORDER = 4
 DEFAULT_TORSION_ORDERS = tuple(range(1, MAX_TORSION_ORDER + 1))
 
 
-@dataclass(frozen=True)
-class ValueGroupElement:
+class ValueGroupElement(FrozenRecord):
     """Element of (Q/Z) + Z^k; torsion is a Fraction reduced into [0, 1)."""
 
-    torsion: Fraction
-    free: tuple
+    __slots__ = _fields = ("torsion", "free")
+
+    def __init__(self, torsion: Fraction, free: tuple):
+        _set_torsion(self, torsion)
+        _set_free(self, free)
+
+    # Written out for speed: values are dict keys in spectrum arithmetic.
+    def __eq__(self, other):
+        if other.__class__ is not ValueGroupElement:
+            return NotImplemented
+        return self.torsion == other.torsion and self.free == other.free
+
+    def __hash__(self):
+        return hash((self.torsion, self.free))
 
     @staticmethod
     def make(torsion, free):
@@ -103,6 +112,10 @@ class ValueGroupElement:
         return prefix + body
 
 
+_set_torsion = ValueGroupElement.torsion.__set__
+_set_free = ValueGroupElement.free.__set__
+
+
 @lru_cache(maxsize=4096)
 def _fraction(t, d):
     """Fraction(t, d), normalised once per (t, d) pair in use."""
@@ -110,12 +123,11 @@ def _fraction(t, d):
 
 
 def default_generator_names(k):
-    letters = string.ascii_lowercase
+    letters = "abcdefghijklmnopqrstuvwxyz"
     return tuple(letters[i] if i < len(letters) else f"g{i}" for i in range(k))
 
 
-@dataclass(frozen=True)
-class TorusElement:
+class TorusElement(FrozenRecord):
     """Homomorphism from the weight lattice into the value group, given by
     one value per fundamental weight.
 
@@ -145,38 +157,38 @@ class TorusElement:
     So two characters have the same value iff their packed sums have the
     same residue."""
 
-    datum: RootDatum
-    assignments: tuple  # one ValueGroupElement per fundamental weight
-    label: str = ""
-    gen_names: tuple = None
-    gen_denoms: tuple = None
+    _fields = ("datum", "assignments", "label", "gen_names", "gen_denoms")
+    __slots__ = _fields + ("_denom", "_tcol", "_fcols", "_digit_bound", "identity_key")
 
-    def __post_init__(self):
-        if len(self.assignments) != self.datum.rank:
+    def __init__(self, datum: RootDatum, assignments: tuple, label: str = "",
+                 gen_names: tuple = None, gen_denoms: tuple = None):
+        # assignments: one ValueGroupElement per fundamental weight
+        if len(assignments) != datum.rank:
             raise ValueError(
-                f"need {self.datum.rank} assignments for {self.datum.name}, "
-                f"got {len(self.assignments)}"
+                f"need {datum.rank} assignments for {datum.name}, "
+                f"got {len(assignments)}"
             )
-        ks = {len(v.free) for v in self.assignments}
+        ks = {len(v.free) for v in assignments}
         if len(ks) > 1:
             raise ValueError("assignments use free vectors of different lengths")
         k = ks.pop() if ks else 0
-        if self.gen_names is None:
-            object.__setattr__(self, "gen_names", default_generator_names(k))
-        if self.gen_denoms is None:
-            object.__setattr__(self, "gen_denoms", (1,) * k)
-        denom = lcm(*(v.torsion.denominator for v in self.assignments))
-        object.__setattr__(self, "_denom", denom)
-        object.__setattr__(self, "_tcol", tuple(
+        _set_datum(self, datum)
+        _set_assignments(self, assignments)
+        _set_label(self, label)
+        _set_gen_names(self, default_generator_names(k) if gen_names is None else gen_names)
+        _set_gen_denoms(self, (1,) * k if gen_denoms is None else gen_denoms)
+        denom = lcm(*(v.torsion.denominator for v in assignments))
+        _set_denom(self, denom)
+        _set_tcol(self, tuple(
             v.torsion.numerator * (denom // v.torsion.denominator) % denom
-            for v in self.assignments
+            for v in assignments
         ))
-        object.__setattr__(self, "_fcols", tuple(zip(*(v.free for v in self.assignments))))
+        _set_fcols(self, tuple(zip(*(v.free for v in assignments))))
         # Every free digit of a term c_i P_i has size <= |c_i| max |f_ij|.
-        object.__setattr__(self, "_digit_bound", max(
-            (abs(x) for v in self.assignments for x in v.free), default=0
+        _set_digit_bound(self, max(
+            (abs(x) for v in assignments for x in v.free), default=0
         ))
-        object.__setattr__(self, "identity_key", (0, (0,) * k))
+        _set_identity_key(self, (0, (0,) * k))
 
     @property
     def free_rank(self):
@@ -236,6 +248,18 @@ class TorusElement:
         return {"omega_values": [v.to_json() for v in self.assignments]}
 
 
+_set_datum = TorusElement.datum.__set__
+_set_assignments = TorusElement.assignments.__set__
+_set_label = TorusElement.label.__set__
+_set_gen_names = TorusElement.gen_names.__set__
+_set_gen_denoms = TorusElement.gen_denoms.__set__
+_set_denom = TorusElement._denom.__set__
+_set_tcol = TorusElement._tcol.__set__
+_set_fcols = TorusElement._fcols.__set__
+_set_digit_bound = TorusElement._digit_bound.__set__
+_set_identity_key = TorusElement.identity_key.__set__
+
+
 def torus_element(datum: RootDatum, assignments, label="", gen_names=None, gen_denoms=None):
     vals = tuple(
         v if isinstance(v, ValueGroupElement) else ValueGroupElement.make(*v)
@@ -270,23 +294,24 @@ def separates_weights(s: TorusElement, weight_set) -> bool:
 # -- strata -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StratumSpec:
+class StratumSpec(FrozenRecord):
     """A subfamily of torus elements cut by forcing the given characters to
     evaluate to the identity, with optional roots of unity on the torsion
-    generators of the quotient lattice."""
+    generators of the quotient lattice.  Unhashable: torsion_choices is a
+    dict (None gives a new empty one)."""
 
-    datum: RootDatum
-    kernel_weights: tuple
-    torsion_choices: dict = field(default_factory=dict)
+    __slots__ = _fields = ("datum", "kernel_weights", "torsion_choices")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kernel_weights", tuple(self.kernel_weights))
-        for w in self.kernel_weights:
-            if w.datum is not self.datum:
+    def __init__(self, datum: RootDatum, kernel_weights: tuple, torsion_choices: dict = None):
+        kernel_weights = tuple(kernel_weights)
+        for w in kernel_weights:
+            if w.datum is not datum:
                 raise DatumMismatchError("kernel weight bound to a different datum")
+        _set_spec_datum(self, datum)
+        _set_spec_kernel_weights(self, kernel_weights)
+        _set_spec_torsion_choices(self, {} if torsion_choices is None else torsion_choices)
         d, _, _ = self._snf()
-        if len(d) == self.datum.rank and all(x == 1 for x in d):
+        if len(d) == datum.rank and all(x == 1 for x in d):
             raise ValueError(
                 "kernel weights generate the full character lattice; only the identity survives"
             )
@@ -296,6 +321,11 @@ class StratumSpec:
         if not rows:
             return [], [], [[int(i == j) for j in range(self.datum.rank)] for i in range(self.datum.rank)]
         return smith_normal_form(rows)
+
+
+_set_spec_datum = StratumSpec.datum.__set__
+_set_spec_kernel_weights = StratumSpec.kernel_weights.__set__
+_set_spec_torsion_choices = StratumSpec.torsion_choices.__set__
 
 
 def generic_stratum_element(spec: StratumSpec, seed: int = 0) -> TorusElement:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import tables
 from .exceptions import ResourceLimitError
 from .mult import freudenthal_multiplicities, validity_note, weyl_dimension, weyl_dimension_of
-from .rootdata import RootDatum, Weight, build_root_datum
+from .rootdata import Record, RootDatum, Weight, build_root_datum
 from .spectra import (
     SpectrumKind,
     classify,
@@ -53,13 +52,18 @@ SWEEP_SCOPE_NOTE = (
 LEVEL_TABLE_BOUND = 6
 
 
-@dataclass
-class VerificationReport:
-    check_id: str
-    status: str  # Pass | Fail | Skipped
-    cases: list = field(default_factory=list)
-    elapsed: float = 0.0
-    notes: tuple = ()
+class VerificationReport(Record):
+    """Mutable and unhashable; cases=None gives a new empty list."""
+
+    __slots__ = _fields = ("check_id", "status", "cases", "elapsed", "notes")
+
+    def __init__(self, check_id: str, status: str, cases: list = None, elapsed: float = 0.0,
+                 notes: tuple = ()):
+        self.check_id = check_id
+        self.status = status  # Pass | Fail | Skipped
+        self.cases = [] if cases is None else cases
+        self.elapsed = elapsed
+        self.notes = notes
 
     def to_json(self):
         return {

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from operator import add, sub
 
 from .exceptions import DatumMismatchError, ResourceLimitError
-from .rootdata import RootDatum, Weight
+from .rootdata import FrozenRecord, RootDatum, Weight
 from . import kernels
 from .kernels import dominant_rep
 
@@ -24,10 +24,16 @@ class Dominance(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class LevelAssignment:
-    weight: Weight
-    level: int
+class LevelAssignment(FrozenRecord):
+    __slots__ = _fields = ("weight", "level")
+
+    def __init__(self, weight: Weight, level: int):
+        _set_weight(self, weight)
+        _set_level(self, level)
+
+
+_set_weight = LevelAssignment.weight.__set__
+_set_level = LevelAssignment.level.__set__
 
 
 def _same_datum(lam, mu):
@@ -130,22 +136,56 @@ def minimal_nonzero_subdominant(lam: Weight):
     return tuple(sorted(minimal, key=lambda w: w.coords))
 
 
+def _level_steps(datum):
+    """(roots, blocked, above, every): bitmasks over the positive roots
+    (omega-coordinates ``roots``) that list the steps of ``weight_level``.
+
+    A dominant c may subtract exactly the roots outside the union of
+    blocked[i][c_i] over the i with c_i < len(blocked[i]), where
+    blocked[i][v] has bit j set iff root j has coordinate i above v.
+    above[j] has the bits of the roots above root j in the root order
+    (their difference a nonzero sum of simple roots).  Built once per
+    datum."""
+    steps = datum._level_steps
+    if steps is None:
+        roots = datum.positive_root_coords
+        blocked = tuple(
+            tuple(sum(1 << j for j, r in enumerate(roots) if r[i] > v)
+                  for v in range(max(r[i] for r in roots)))
+            for i in range(datum.rank)
+        )
+        # The roots above beta are the beta + alpha_i that are roots and
+        # the roots above those; roots are listed in order of height.
+        index = {r: j for j, r in enumerate(roots)}
+        above = [0] * len(roots)
+        for j in reversed(range(len(roots))):
+            for a in datum.simple_root_coords:
+                k = index.get(tuple(map(add, roots[j], a)))
+                if k is not None:
+                    above[j] |= (1 << k) | above[k]
+        steps = datum._level_steps = (roots, blocked, tuple(above), (1 << len(roots)) - 1)
+    return steps
+
+
 def weight_level(lam: Weight) -> int:
     """Level of a dominant weight: 1 + the longest chain of dominant weights
     strictly below it in the dominance order.
 
     Chains between dominant weights refine into single positive-root steps
     through dominant weights, so the longest chain satisfies the local
-    recursion over lam - beta for positive roots beta.  The recursion is
-    unrolled onto an explicit stack, so long chains cannot exhaust the
-    interpreter's recursion limit.  Levels are memoized on the datum.
+    recursion over the dominant lam - beta for positive roots beta.  Only
+    the minimal such beta in the root order are needed: if beta' < beta,
+    then lam - beta' > lam - beta, so lam - beta' has the higher level.
+    ``_level_steps`` lists them.  The recursion is unrolled onto an
+    explicit stack, so long chains cannot exhaust the interpreter's
+    recursion limit.  Levels are memoized on the datum.
     """
     if not lam.is_dominant:
         raise ValueError(f"weight level needs a dominant weight, got {lam}")
     datum = lam.datum
     cache = datum._levels
-    roots = datum.positive_root_coords
-    below = {}  # coords -> dominant coords one positive root lower
+    roots, blocked, above, every = _level_steps(datum)
+    below = {}  # coords -> dominant coords one minimal step lower
     stack = [lam.coords]
     while stack:
         coords = stack[-1]
@@ -154,10 +194,20 @@ def weight_level(lam: Weight) -> int:
             continue
         lower = below.get(coords)
         if lower is None:
-            lower = below[coords] = [
-                cand for cand in (tuple(a - b for a, b in zip(coords, root)) for root in roots)
-                if all(x >= 0 for x in cand)
-            ]
+            out = 0
+            for c, masks in zip(coords, blocked):
+                if c < len(masks):
+                    out |= masks[c]
+            allowed = rest = every & ~out
+            while rest:
+                bit = rest & -rest
+                allowed &= ~above[bit.bit_length() - 1]
+                rest ^= bit
+            lower = below[coords] = []
+            while allowed:
+                bit = allowed & -allowed
+                lower.append(tuple(map(sub, coords, roots[bit.bit_length() - 1])))
+                allowed ^= bit
             missing = [c for c in lower if c not in cache]
             if missing:
                 stack.extend(missing)

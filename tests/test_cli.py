@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,38 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["info", "--group", "A\u00b2"], "cannot parse group 'A\u00b2'"),
+    (["info", "--group", "A\u0662x"], "cannot parse group"),
+    (["weights", "--group", "A1", "--highest", "[\u00b2]"], "bad coordinate token '\u00b2'"),
+    (["weights", "--group", "A2", "--highest", "[1,+-1]"], "bad coordinate token '+-1'"),
+    (["weights", "--group", "A2", "--highest", "[1,-]"], "bad coordinate token '-'"),
+])
+def test_non_decimal_digits_are_usage_errors_with_their_message(capsys, argv, message):
+    # Superscripts pass str.isdigit but not int(); the parse names the token.
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and "invalid literal" not in err
+
+
+def test_decimal_digits_of_any_script_parse():
+    # int() reads every Unicode decimal digit, so str.isdecimal admits them.
+    assert cli.parse_weight_text("[\u0661,0]", cli.parse_group("A\u0662")).coords == (1, 0)
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    # A CLI process pays for every module it imports; the value types are
+    # plain classes, so the dataclasses chain (inspect, ast, ...) stays out.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import liespectra.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'string'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_resource_rejection_exits_three(capsys):
     code, _, err = invoke(
         capsys, "weights", "--group", "A2", "--highest", "[2,2]", "--dim-bound", "10",
@@ -288,6 +321,18 @@ CLI_BAD_GROUPS = ["A0", "B1", "D3", "E9", "F3", "G3", "H2", "", "A", "2A", "A-1"
 CLI_TIME_CAP_S = 5.0
 
 
+def answered_or_rejected(argv, codes=(0, 2, 3)):
+    """Run argv in process: the exit code must be one of codes, never 4 (an
+    internal error), and the answer must come within CLI_TIME_CAP_S."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    elapsed = time.perf_counter() - start
+    assert code in codes, (argv, code, err.getvalue())
+    assert elapsed < CLI_TIME_CAP_S, (argv, elapsed)
+
+
 @st.composite
 def weights_argv(draw):
     """A `weights` argv: mostly a valid group and a small dominant highest
@@ -313,13 +358,7 @@ def weights_argv(draw):
 def test_weights_argv_is_answered_or_rejected_never_crashes(argv):
     # Every input gets an answer (0), a usage error (2) or a resource-limit
     # rejection (3); exit 4 would be an internal error.
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    elapsed = time.perf_counter() - start
-    assert code in (0, 2, 3), (argv, code, err.getvalue())
-    assert elapsed < CLI_TIME_CAP_S, (argv, elapsed)
+    answered_or_rejected(argv)
 
 
 def test_info_rejects_a_huge_rank_before_the_build(capsys):
@@ -352,10 +391,111 @@ def info_argv(draw):
 def test_info_argv_is_answered_or_rejected_never_crashes(argv):
     # Every group name gets an answer (0) or a usage error (2), ranks above
     # the family's range included; exit 4 would be an internal error.
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    elapsed = time.perf_counter() - start
-    assert code in (0, 2), (argv, code, err.getvalue())
-    assert elapsed < CLI_TIME_CAP_S, (argv, elapsed)
+    answered_or_rejected(argv, codes=(0, 2))
+
+
+def group_and_rank(draw):
+    """Mostly a valid group name from CLI_GROUPS, else a bad one; and the
+    rank it names (2 for a bad name)."""
+    valid = draw(st.integers(0, 3)) > 0
+    group = draw(st.sampled_from(sorted(CLI_GROUPS) if valid else CLI_BAD_GROUPS))
+    return group, CLI_GROUPS.get(group, 2)
+
+
+def small_highest(draw, rank):
+    """A bracketed weight: mostly rank entries in 0..2, else a wrong length
+    or one negative entry."""
+    length = draw(st.sampled_from([rank] * 6 + [0, rank + 1]))
+    coords = draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))
+    if coords and not draw(st.integers(0, 7)):
+        coords[draw(st.integers(0, length - 1))] = -1
+    return f"[{','.join(map(str, coords))}]"
+
+
+EPSILON_ENTRIES = ["1", "-1", "i", "-i", "a", "1/a", "-a", "b", "1/b", "a^2", "-1/b^3", "c^-1"]
+BAD_EPSILON_ENTRIES = ["", "x^", "2", "1/i", "a b"]
+
+
+@st.composite
+def spectrum_argv(draw):
+    """A `spectrum` argv: a group, a small highest weight, and the element as
+    epsilon shorthand (one entry per epsilon) or as JSON omega values (one
+    per fundamental weight), else neither or both; one entry of either may be
+    bad, and their count may be off by one; any dimension bound."""
+    group, rank = group_and_rank(draw)
+    argv = ["spectrum", "--group", group, "--highest", small_highest(draw, rank),
+            "--dim-bound", str(draw(st.one_of(st.just(3000), st.integers(-5, 3000))))]
+    form = draw(st.sampled_from(["epsilon"] * 3 + ["element"] * 3 + ["none", "both"]))
+    skew = draw(st.sampled_from([0] * 6 + [-1, 1]))
+    if form in ("epsilon", "both"):
+        n = rank + (group[:1] == "A") + skew
+        entries = draw(st.lists(st.sampled_from(EPSILON_ENTRIES), min_size=n, max_size=n))
+        if entries and not draw(st.integers(0, 7)):
+            entries[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_EPSILON_ENTRIES))
+        argv.append(f"--epsilon={','.join(entries)}")
+    if form in ("element", "both"):
+        k = draw(st.integers(0, 2))
+        values = [{"torsion": f"{draw(st.integers(0, 5))}/{draw(st.integers(1, 4))}",
+                   "free": draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))}
+                  for _ in range(rank + skew)]
+        if values and not draw(st.integers(0, 7)):
+            values[0] = draw(st.sampled_from([{"torsion": "1/0"}, {"free": [0.5]}, [1], "1/2"]))
+        argv += ["--element", json.dumps({"omega_values": values})]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectrum_argv())
+def test_spectrum_argv_is_answered_or_rejected_never_crashes(argv):
+    answered_or_rejected(argv)
+
+
+@st.composite
+def levels_argv(draw):
+    """A `levels` argv: the family and rank of a CLI_GROUPS name (or a bad
+    family or rank), any max level from -1 and a bound up to the default 6,
+    sometimes negative."""
+    group, rank = group_and_rank(draw)
+    family = group[:1] or "H"
+    if draw(st.integers(0, 5)) == 0:
+        rank = draw(st.integers(-1, 40))
+    argv = ["levels", "--family", family, "--rank", str(rank),
+            "--max-level", str(draw(st.integers(-1, 4))),
+            "--bound", str(draw(st.integers(-2, 6)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels_argv())
+def test_levels_argv_is_answered_or_rejected_never_crashes(argv):
+    answered_or_rejected(argv)
+
+
+@st.composite
+def verify_argv(draw):
+    """A `verify` argv: each check on a CLI_GROUPS family and rank (or none,
+    or a bad one), with --dim-bound <= 60, --samples <= 20 and any depth and
+    seed."""
+    argv = ["verify", "--check", draw(st.sampled_from(
+        ["level-table", "witnesses", "c99", "bounds", "natural"]))]
+    if draw(st.integers(0, 5)):
+        group, rank = group_and_rank(draw)
+        argv += ["--family", group[:1] or "H", "--rank", str(rank)]
+    argv += ["--dim-bound", str(draw(st.integers(-2, 60))),
+             "--depth", str(draw(st.sampled_from([1, 2, 1, 2, 3]))),
+             "--seed", str(draw(st.integers(0, 10**6))),
+             "--samples", str(draw(st.integers(-1, 20)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(verify_argv())
+def test_verify_argv_is_answered_or_rejected_never_crashes(argv):
+    # Exit 1 is a verification Fail, which these checks must not report either.
+    answered_or_rejected(argv)
