@@ -21,7 +21,7 @@ from .mult import (
 from .rootdata import RootDatum, Weight, build_root_datum, e_constant, parse_group
 from .spectra import classify, spectrum_of_multiset
 from .torus import torus_from_epsilon_text, torus_from_json
-from .verify import run_check
+from .verify import CHECK_IDS, run_check
 from .weights import level_sets
 
 
@@ -79,8 +79,7 @@ def _build_parser():
     lv.add_argument("--json", action="store_true")
 
     v = sub.add_parser("verify", help="run a verification check")
-    v.add_argument("--check", required=True,
-                   choices=["level-table", "witnesses", "c99", "bounds", "natural"])
+    v.add_argument("--check", required=True, choices=CHECK_IDS)
     v.add_argument("--family")
     v.add_argument("--rank", type=int)
     v.add_argument("--dim-bound", type=int, default=40)

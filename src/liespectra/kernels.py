@@ -6,19 +6,8 @@ orbits of a module are walked as trees in one loop (see `orbits`).  The walk
 gives the module's orbit index, {weight: index of its dominant weight}
 (`orbit_expand`), in which the Freudenthal recursion looks up every step of an
 alpha-string; each string stops at its first dominant weight (see
-`freudenthal`).
-
-Argument conventions:
-    n         rank
-    alpha     tuple of n tuples, omega-coordinates of the simple roots
-    posroots  tuple of omega-coordinate tuples of the positive roots
-    heights   per positive root, its height (sum of its simple-root
-              coefficients); height deficits below lam are sums of these
-    pairings  per positive root, the vector of <omega_i, alpha^vee>
-    dhalf     per positive root, (alpha, alpha)/2
-    doms      distinct dominant weights, the roots of an orbit walk
-    sform     integer matrix den*(omega_i, omega_j)
-    den       the scaling denominator of sform
+`freudenthal`).  Every kernel takes the RootDatum first and reads the root
+data it needs from it.
 """
 
 from __future__ import annotations
@@ -30,13 +19,14 @@ from operator import add, mul, sub
 BACKEND = "pure"
 
 
-def dominant_rep(coords, alpha, n):
+def dominant_rep(datum, coords):
     """The dominant weight in the Weyl orbit of coords, and a reflection word.
 
     Each step reflects by the first negative coordinate.  Applying the simple
     reflections of the word in order to coords gives the representative:
     rep = s_{w[-1]}(... s_{w[0]}(coords) ...).
     """
+    n, alpha = datum.rank, datum.simple_root_coords
     c = list(coords)
     word = []
     while True:
@@ -52,7 +42,7 @@ def dominant_rep(coords, alpha, n):
             return tuple(c), tuple(word)
 
 
-def dominant_subdominants(posroots, heights, lam):
+def dominant_subdominants(datum, lam):
     """All dominant weights subdominant to dominant lam, sorted by increasing
     height deficit then lexicographically.
 
@@ -63,7 +53,7 @@ def dominant_subdominants(posroots, heights, lam):
     not depend on the path, so each weight takes its parent's deficit plus the
     height of the root stepped down by.
     """
-    steps = tuple(zip(posroots, heights))
+    steps = tuple(zip(datum.positive_root_coords, datum.positive_root_heights))
     deficit = {lam: 0}
     frontier = [lam]
     while frontier:
@@ -82,8 +72,9 @@ def dominant_subdominants(posroots, heights, lam):
 
 @lru_cache(maxsize=64)
 def _neighbours(alpha):
-    """(near, later): near[i] lists (j, alpha[i][j]) over the Dynkin
-    neighbours j of i, and later[i] lists (j, alpha[j][i]) over those j > i."""
+    """(near, later) for the simple-root omega-coordinates alpha: near[i] lists
+    (j, alpha[i][j]) over the Dynkin neighbours j of i, and later[i] lists
+    (j, alpha[j][i]) over those j > i."""
     n = len(alpha)
     near = tuple(
         tuple((j, a[j]) for j in range(n) if j != i and a[j]) for i, a in enumerate(alpha)
@@ -94,7 +85,7 @@ def _neighbours(alpha):
     return near, later
 
 
-def orbits(n, alpha, doms):
+def orbits(datum, doms):
     """The Weyl orbits of the distinct dominant weights doms, each weight once,
     in no fixed order: (weights, owner), where owner[k] is the index in doms
     of the dominant weight in the orbit of weights[k].
@@ -124,7 +115,8 @@ def orbits(n, alpha, doms):
         raise ValueError("orbit walk needs dominant starts")
     if len(set(out)) != len(out):
         raise ValueError("orbit walk needs distinct starts")
-    near, later = _neighbours(alpha)
+    n = datum.rank
+    near, later = _neighbours(datum.simple_root_coords)
     firsts = [n] * len(out)
     owner = list(range(len(out)))
     push, pushf, pusho = out.append, firsts.append, owner.append
@@ -155,20 +147,15 @@ def orbits(n, alpha, doms):
     return out, owner
 
 
-def _orbit(n, alpha, start):
-    """The Weyl orbit of start, each weight once, in no fixed order."""
-    return orbits(n, alpha, (dominant_rep(start, alpha, n)[0],))[0]
-
-
-def weyl_orbit(n, alpha, start):
+def weyl_orbit(datum, start):
     """Full Weyl orbit of a weight, lexicographically sorted."""
-    return sorted(_orbit(n, alpha, start))
+    return sorted(orbits(datum, (dominant_rep(datum, start)[0],))[0])
 
 
-def orbit_expand(n, alpha, doms):
+def orbit_expand(datum, doms):
     """The orbit index of the distinct dominant weights doms: {weight: index
     in doms of its dominant weight} over all their Weyl orbits."""
-    weights, owner = orbits(n, alpha, doms)
+    weights, owner = orbits(datum, doms)
     return dict(zip(weights, owner))
 
 
@@ -183,7 +170,7 @@ def _quad(coords, sform, n):
     return total
 
 
-def freudenthal(n, alpha, posroots, pairings, dhalf, heights, sform, den, lam):
+def freudenthal(datum, lam):
     """Multiplicities of the dominant weights of the irreducible module with
     highest weight lam, via the Freudenthal recursion.
 
@@ -208,15 +195,16 @@ def freudenthal(n, alpha, posroots, pairings, dhalf, heights, sform, den, lam):
     dominant chamber never returns to it, so the stored sum is picked up at
     mu+alpha or not at all.
     """
-    doms = dominant_subdominants(posroots, heights, lam)
+    doms = dominant_subdominants(datum, lam)
     # Through the module global, so that a wrapper installed on it sees the call.
-    index = orbit_expand(n, alpha, doms)
+    index = orbit_expand(datum, doms)
     get = index.get
-    steps = tuple(zip(posroots, pairings, dhalf))
+    n, sform = datum.rank, datum.form_scaled
+    steps = tuple(zip(datum.positive_root_coords, datum.coroot_pairings, datum.root_half_lengths))
     qlam = _quad([x + 1 for x in lam], sform, n)
     mults = [0] * len(doms)
     mults[0] = 1
-    # suffix[i][r] = S_alpha(doms[i]) for alpha = posroots[r]; nothing lies above lam
+    # suffix[i][r] = S_alpha(doms[i]) for alpha the r-th positive root; nothing lies above lam
     suffix = [[0] * len(steps)]
     for idx in range(1, len(doms)):
         mu = doms[idx]
@@ -236,7 +224,7 @@ def freudenthal(n, alpha, posroots, pairings, dhalf, heights, sform, den, lam):
             sums.append(s)
         suffix.append(sums)
         denom = qlam - _quad([x + 1 for x in mu], sform, n)
-        num = 2 * den * sum(sums)
+        num = 2 * datum.form_denominator * sum(sums)
         if denom <= 0 or num % denom:
             raise AssertionError("Freudenthal recursion produced a non-integer")
         mults[idx] = num // denom

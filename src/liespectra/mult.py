@@ -137,9 +137,7 @@ def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):
     if not lam.is_dominant:
         raise ValueError(f"weight set enumeration needs a dominant weight, got {lam}")
     datum = lam.datum
-    doms = kernels.dominant_subdominants(
-        datum.positive_root_coords, datum.positive_root_heights, lam.coords
-    )
+    doms = kernels.dominant_subdominants(datum, lam.coords)
     order = datum.weyl_order()
     supports = Counter(tuple(map(bool, mu)) for mu in doms)
     total = sum(
@@ -150,7 +148,7 @@ def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):
         raise ResourceLimitError(
             f"weight set of {lam} has {total} elements, exceeding the orbit bound {orbit_bound}"
         )
-    weights, _ = kernels.orbits(datum.rank, datum.simple_root_coords, doms)
+    weights, _ = kernels.orbits(datum, doms)
     return frozenset(Weight._bulk(weights, datum))
 
 
@@ -167,17 +165,7 @@ def freudenthal_multiplicities(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) 
         raise ResourceLimitError(
             f"module {lam} has dimension {dim}, exceeding the dimension bound {dim_bound}"
         )
-    _, mults, index = kernels.freudenthal(
-        datum.rank,
-        datum.simple_root_coords,
-        datum.positive_root_coords,
-        datum.coroot_pairings,
-        datum.root_half_lengths,
-        datum.positive_root_heights,
-        datum.form_scaled,
-        datum.form_denominator,
-        lam.coords,
-    )
+    _, mults, index = kernels.freudenthal(datum, lam.coords)
     entries = dict(zip(Weight._bulk(index, datum), map(mults.__getitem__, index.values())))
     return WeightMultiset(highest=lam, entries=entries, validity=validity_note(datum))
 

@@ -189,7 +189,8 @@ class RootDatum:
     """Immutable description of a simple root system.
 
     Construction is deterministic; instances are cached per (family, rank)
-    and safe to share across threads.
+    and safe to share across threads.  Copying or pickling a datum gives the
+    cached one of its (family, rank).
     """
 
     def __init__(self, family, rank):
@@ -287,9 +288,7 @@ class RootDatum:
         half_lengths = {}
         for a, half in zip(self.simple_root_coords, self._d):
             if a not in half_lengths:
-                half_lengths.update(
-                    dict.fromkeys(kernels.weyl_orbit(self.rank, self.simple_root_coords, a), half)
-                )
+                half_lengths.update(dict.fromkeys(kernels.weyl_orbit(self, a), half))
         positive = []
         for coords, half in half_lengths.items():
             cf = self._coefficients(coords)
@@ -361,6 +360,11 @@ class RootDatum:
                 order *= 1 + sum(1 for r in per_height.values() if r >= k)
             self._weyl_orders[key] = order
         return order
+
+    def __reduce__(self):
+        # Copies and pickles resolve to the cached datum, so the Weight
+        # equality, which needs the same datum object, holds across them.
+        return (build_root_datum, (self.family, self.rank))
 
     def __repr__(self):
         return f"RootDatum({self.family!r}, {self.rank})"

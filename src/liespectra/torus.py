@@ -18,13 +18,17 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .exceptions import DatumMismatchError, UnsupportedRootSystemError
+from .exceptions import DatumMismatchError, ResourceLimitError, UnsupportedRootSystemError
 from .linalg import hermite_normal_form, smith_normal_form
 from .rootdata import FrozenRecord, RootDatum, Weight
 
 # Stratum elements are decorated with roots of unity of order at most this.
 MAX_TORSION_ORDER = 4
 DEFAULT_TORSION_ORDERS = tuple(range(1, MAX_TORSION_ORDER + 1))
+# Most root generator sets canonical_root_strata will search: every type of
+# rank <= 8 is within it (E8 has 7,260 at depth 2), the rank-32 classical
+# types are not (A32 has 139,656).
+MAX_GENERATOR_SETS = 10_000
 
 
 class ValueGroupElement(FrozenRecord):
@@ -405,10 +409,6 @@ def stratum_torsion_decorations(spec: StratumSpec):
     return out or [{}]
 
 
-def _lattice_key(rows, n):
-    return hermite_normal_form([tuple(r) for r in rows])
-
-
 def canonical_root_strata(datum: RootDatum, depth: int):
     """Canonical root-kernel strata up to Weyl conjugacy.
 
@@ -419,11 +419,22 @@ def canonical_root_strata(datum: RootDatum, depth: int):
     the least Hermite normal form in its W-orbit; every orbit is enumerated
     once, and generator sets whose lattice lies in a finished orbit are
     skipped.  The strata are memoized on the datum per depth, as a tuple.
+
+    The p positive roots give p generator sets at depth 1 and p + p(p-1)/2
+    from depth 2; more than MAX_GENERATOR_SETS raises ResourceLimitError
+    before any is searched.
     """
     if depth < 1:
         raise ValueError("stratum depth must be >= 1")
     strata = datum._strata.get(depth)
     if strata is None:
+        p = len(datum.positive_root_coords)
+        sets = p + (p * (p - 1) // 2 if depth >= 2 else 0)
+        if sets > MAX_GENERATOR_SETS:
+            raise ResourceLimitError(
+                f"{datum.name} has {sets} root generator sets at stratum depth {depth}, "
+                f"exceeding the bound {MAX_GENERATOR_SETS}"
+            )
         strata = datum._strata[depth] = _root_strata(datum, depth)
     return strata
 
@@ -444,7 +455,7 @@ def _root_strata(datum, depth):
                     for row in key:
                         ci = row[i]
                         refl.append(tuple(c - ci * a for c, a in zip(row, alpha[i])))
-                    nk = _lattice_key(refl, n)
+                    nk = hermite_normal_form(refl)
                     if nk not in seen:
                         seen.add(nk)
                         new.append(nk)
@@ -460,7 +471,7 @@ def _root_strata(datum, depth):
     done = set()
     canon = []
     for gens in generators:
-        key = _lattice_key(gens, n)
+        key = hermite_normal_form(gens)
         if len(key) >= n or key in done:
             continue  # full-rank kernel (no generic element), or orbit already found
         orbit = w_orbit(key)

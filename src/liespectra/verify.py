@@ -10,6 +10,7 @@ decorations of order <= 4; they are not exhaustive over the full torus.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -128,12 +129,13 @@ def _fmt_weights(ws):
 def verify_level_table(family: str, rank: int) -> VerificationReport:
     """Compare computed level-1/level-2 sets (and the radical part of level 3
     where a reference is available) against the reference table.  A family
-    without a reference table (E, F, G) raises ValueError before any work."""
+    without a reference table (E, F, G) raises ValueError, and an unsupported
+    rank UnsupportedRootSystemError, before any work."""
+    datum = build_root_datum(family, rank)
     ref = tables.level_reference(family, rank)
     if ref is None:
         raise ValueError(f"level tables are defined for families A-D, not {family}{rank}")
     rec = _Recorder(f"level-table:{family}{rank}")
-    datum = build_root_datum(family, rank)
     assignments = level_sets(datum, 3, LEVEL_TABLE_BOUND)
     computed = {1: set(), 2: set(), 3: set()}
     for a in assignments:
@@ -363,7 +365,8 @@ def enumerate_modules(datum: RootDatum, dim_bound: int, include_zero=False):
         c = 0
         while True:
             coords[i] = c
-            dim = weyl_dimension(Weight(tuple(coords[: i + 1] + [0] * (n - i - 1)), datum))
+            # coords[i + 1:] are 0 here, so coords is the dominant prefix.
+            dim = weyl_dimension_of(datum, coords)
             if dim > dim_bound:
                 break
             if i + 1 < n:
@@ -563,7 +566,8 @@ def verify_natural_module_regularity(
     """Randomized biconditionals relating regularity of a non-central element
     and its eigenvalue multiplicities on the natural module; for family D
     also the relation between the natural module and the module of the
-    second fundamental weight."""
+    second fundamental weight.  Central samples are skipped; if all
+    ``samples`` draws are central, drawing goes on until one is not."""
     if family not in "ABCD":
         raise ValueError("natural-module checks are defined for families A-D")
     if samples < 1:
@@ -575,7 +579,9 @@ def verify_natural_module_regularity(
     adj2 = freudenthal_multiplicities(datum.fundamental_weight(2)) if family == "D" else None
     counts = {"checked": 0, "skipped-central": 0}
     failures = []
-    for idx in range(samples):
+    for idx in itertools.count():
+        if idx >= samples and counts["checked"]:
+            break
         tokens = _sample_epsilon_tokens(datum, rng)
         s = torus_from_epsilon(datum, tokens, label=f"sample{idx}")
         if is_central(s):

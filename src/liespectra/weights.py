@@ -10,7 +10,6 @@ from operator import add, sub
 from .exceptions import DatumMismatchError, ResourceLimitError
 from .rootdata import FrozenRecord, RootDatum, Weight
 from . import kernels
-from .kernels import dominant_rep
 
 DEFAULT_ORBIT_BOUND = 10_000_000
 # Most dominant weights enumerate_dominant_by_sum will list.
@@ -76,7 +75,7 @@ def dominant_representative(mu: Weight):
     representative: rep = s_{w[-1]}(... s_{w[0]}(mu) ...).
     """
     datum = mu.datum
-    rep, word = dominant_rep(mu.coords, datum.simple_root_coords, datum.rank)
+    rep, word = kernels.dominant_rep(datum, mu.coords)
     return Weight(rep, datum), word
 
 
@@ -84,7 +83,7 @@ def orbit_size(mu: Weight) -> int:
     """Exact Weyl orbit size from the stabilizer of the dominant
     representative (a parabolic subgroup)."""
     datum = mu.datum
-    rep, _ = dominant_rep(mu.coords, datum.simple_root_coords, datum.rank)
+    rep, _ = kernels.dominant_rep(datum, mu.coords)
     support = [i for i, c in enumerate(rep) if c == 0]
     return datum.weyl_order() // datum.weyl_order(support)
 
@@ -101,7 +100,7 @@ def weyl_orbit(mu: Weight, bound: int = DEFAULT_ORBIT_BOUND):
             f"Weyl orbit of {mu} has {size} elements, exceeding the orbit bound {bound}"
         )
     datum = mu.datum
-    coords = kernels.weyl_orbit(datum.rank, datum.simple_root_coords, mu.coords)
+    coords = kernels.weyl_orbit(datum, mu.coords)
     assert len(coords) == size
     return tuple(Weight._bulk(coords, datum))
 
@@ -111,9 +110,7 @@ def subdominant_weights(lam: Weight):
     if not lam.is_dominant:
         raise ValueError(f"subdominant enumeration needs a dominant weight, got {lam}")
     datum = lam.datum
-    coords = kernels.dominant_subdominants(
-        datum.positive_root_coords, datum.positive_root_heights, lam.coords
-    )
+    coords = kernels.dominant_subdominants(datum, lam.coords)
     return tuple(Weight._bulk(coords, datum))
 
 

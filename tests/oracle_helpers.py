@@ -197,9 +197,10 @@ def orbit_oracle(datum, coords):
     return seen
 
 
-def weyl_orbit_oracle(n, alpha, start):
+def weyl_orbit_oracle(datum, start):
     """Full Weyl orbit of a weight, lexicographically sorted: a breadth-first
     search over the simple reflections with a seen-set."""
+    n, alpha = datum.rank, datum.simple_root_coords
     seen = {tuple(start)}
     frontier = [tuple(start)]
     while frontier:

@@ -294,12 +294,39 @@ def test_verify_rejects_huge_dim_bound_before_enumerating():
     assert float(elapsed) < 1.0
 
 
+@pytest.mark.parametrize("check,family", [("c99", "A"), ("c99", "D"), ("bounds", "B")])
+def test_verify_rejects_a_rank_32_depth_two_sweep_before_the_strata(check, family):
+    # Depth-2 strata key every pair of positive roots: 139,656 sets on A32,
+    # which took minutes.  A child process, so a regression is killed by the
+    # timeout instead of hanging the suite.
+    script = (
+        "import time; from liespectra.cli import run; t = time.perf_counter(); "
+        f"code = run(['verify', '--check', '{check}', '--family', '{family}', "
+        "'--rank', '32', '--dim-bound', '60']); "
+        "print(code, time.perf_counter() - t)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    code, elapsed = proc.stdout.split()
+    assert code == "3" and "root generator sets" in proc.stderr
+    assert float(elapsed) < 5.0
+
+
 @pytest.mark.parametrize("family,rank", [("G", 2), ("E", 6), ("F", 4)])
 def test_level_table_rejects_a_non_classical_family(capsys, family, rank):
     code, out, err = invoke(capsys, "verify", "--check", "level-table",
                             "--family", family, "--rank", str(rank))
     assert code == 2 and out == ""
     assert f"families A-D, not {family}{rank}" in err
+
+
+@pytest.mark.parametrize("family,rank", [("D", 2), ("D", 3), ("B", 1), ("C", 1)])
+def test_level_table_rejects_an_unsupported_rank_before_the_table(capsys, family, rank):
+    # The reference table indexes coordinates the rank may not have.
+    code, out, err = invoke(capsys, "verify", "--check", "level-table",
+                            "--family", family, "--rank", str(rank))
+    assert code == 2 and out == ""
+    assert f"{family}{rank} is not supported" in err
 
 
 def test_info_command(capsys):

@@ -1,10 +1,10 @@
-"""Kernel agreement: each kernel in `liespectra.kernels` is checked against an
-independent second implementation in `oracle_helpers` (Kostant's
-multiplicity formula, the dominant part of the saturated weight set, and a
-breadth-first orbit search).  The `*_backends_agree` tests compare the two on
-fixed cases; the Hypothesis properties compare the orbit walk with the
-breadth-first search on drawn weights, and one walk over several dominant
-starts with the union of their orbits."""
+"""The kernels in `liespectra.kernels`, each checked against an independent
+oracle in `oracle_helpers`: Kostant's multiplicity formula, the dominant part
+of the saturated weight set, and a breadth-first orbit search.  The
+`*_backends_agree` tests compare a kernel with its oracle on fixed cases; the
+Hypothesis properties compare the orbit walk with the breadth-first search on
+drawn weights, and one walk over several dominant starts with the union of
+their orbits."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,42 +26,26 @@ CASES = [
 ]
 
 
-def _args(datum, lam):
-    return (
-        datum.rank,
-        datum.simple_root_coords,
-        tuple(r.coords for r in datum.positive_roots),
-        datum.coroot_pairings,
-        datum.root_half_lengths,
-        datum.positive_root_heights,
-        datum.form_scaled,
-        datum.form_denominator,
-        lam,
-    )
-
-
 @pytest.mark.parametrize("name,lam", CASES)
 def test_freudenthal_backends_agree(name, lam):
     datum = parse_group(name)
-    doms, mults, _ = kernels.freudenthal(*_args(datum, lam))
+    doms, mults, _ = kernels.freudenthal(datum, lam)
     assert mults == [oh.kostant_multiplicity(datum, lam, mu) for mu in doms]
 
 
 @pytest.mark.parametrize("name,lam", CASES)
 def test_orbit_backends_agree(name, lam):
     datum = parse_group(name)
-    n, alpha = datum.rank, datum.simple_root_coords
     for start in (lam, tuple(-x for x in lam)):
-        assert kernels.weyl_orbit(n, alpha, start) == oh.weyl_orbit_oracle(n, alpha, start)
+        assert kernels.weyl_orbit(datum, start) == oh.weyl_orbit_oracle(datum, start)
 
 
 @pytest.mark.parametrize("name,lam", CASES)
 def test_orbit_expand_backends_agree(name, lam):
     datum = parse_group(name)
-    n, alpha = datum.rank, datum.simple_root_coords
-    doms, _, index = kernels.freudenthal(*_args(datum, lam))
-    expected = {w: k for k, d in enumerate(doms) for w in oh.weyl_orbit_oracle(n, alpha, d)}
-    assert kernels.orbit_expand(n, alpha, doms) == expected
+    doms, _, index = kernels.freudenthal(datum, lam)
+    expected = {w: k for k, d in enumerate(doms) for w in oh.weyl_orbit_oracle(datum, d)}
+    assert kernels.orbit_expand(datum, doms) == expected
     assert index == expected
 
 
@@ -69,9 +53,7 @@ def test_orbit_expand_backends_agree(name, lam):
 def test_subdominant_backends_agree(name, lam):
     # The kernel's order: height deficit below lam, then lexicographic.
     datum = parse_group(name)
-    got = kernels.dominant_subdominants(
-        tuple(r.coords for r in datum.positive_roots), datum.positive_root_heights, lam
-    )
+    got = kernels.dominant_subdominants(datum, lam)
 
     def deficit(mu):
         return sum(oh.root_coefficients_oracle(datum, [a - b for a, b in zip(lam, mu)]))
@@ -81,7 +63,7 @@ def test_subdominant_backends_agree(name, lam):
 
 def test_a1_6000_has_3001_dominant_weights_all_of_multiplicity_one():
     a1 = build_root_datum("A", 1)
-    doms, mults, _ = kernels.freudenthal(*_args(a1, (6000,)))
+    doms, mults, _ = kernels.freudenthal(a1, (6000,))
     assert len(doms) == 3001
     assert set(mults) == {1}
 
@@ -112,20 +94,19 @@ def small_orbit_weights(draw, datum):
 @pytest.mark.parametrize("name", ORBIT_TYPES)
 def test_orbit_walk_matches_the_breadth_first_oracle(name):
     datum = parse_group(name)
-    n, alpha = datum.rank, datum.simple_root_coords
 
     @settings(max_examples=10, deadline=None)
     @given(small_orbit_weights(datum))
     def check(coords):
-        orbit = kernels.weyl_orbit(n, alpha, coords)
-        expected = oh.weyl_orbit_oracle(n, alpha, coords)
+        orbit = kernels.weyl_orbit(datum, coords)
+        expected = oh.weyl_orbit_oracle(datum, coords)
+        # The oracle lists each weight once, so a repeat in the walk fails here.
         assert orbit == expected
-        assert len(set(kernels._orbit(n, alpha, coords))) == len(orbit)
         assert len(orbit) == orbit_size(datum.weight(coords))
-        zero = (0,) * n
-        dom = kernels.dominant_rep(coords, alpha, n)[0]
+        zero = (0,) * datum.rank
+        dom = kernels.dominant_rep(datum, coords)[0]
         doms = (dom, zero) if any(dom) else (zero,)
-        expanded = kernels.orbit_expand(n, alpha, doms)
+        expanded = kernels.orbit_expand(datum, doms)
         assert expanded == {**dict.fromkeys(expected, 0), zero: len(doms) - 1}
 
     check()
@@ -136,10 +117,10 @@ def test_regular_orbit_lists_every_element_once(name):
     # rho has a trivial stabilizer, so every child rule of the walk is used:
     # a duplicate or a missed element changes the count or the set.
     datum = parse_group(name)
-    n, alpha = datum.rank, datum.simple_root_coords
-    orbit = kernels._orbit(n, alpha, (1,) * n)
+    rho = (1,) * datum.rank
+    orbit = kernels.weyl_orbit(datum, rho)
     assert len(orbit) == datum.weyl_order()
-    assert sorted(orbit) == oh.weyl_orbit_oracle(n, alpha, (1,) * n)
+    assert orbit == oh.weyl_orbit_oracle(datum, rho)
 
 
 ORBITS_LIMIT = 5_000
@@ -164,16 +145,15 @@ def dominant_starts(draw, datum):
 @pytest.mark.parametrize("name", ORBIT_TYPES)
 def test_one_walk_lists_the_union_of_the_orbits(name):
     datum = parse_group(name)
-    n, alpha = datum.rank, datum.simple_root_coords
 
     @settings(max_examples=5, deadline=None)
     @given(dominant_starts(datum))
     def check(doms):
-        weights, owner = kernels.orbits(n, alpha, doms)
+        weights, owner = kernels.orbits(datum, doms)
         assert len(owner) == len(weights) == len(set(weights))
-        assert set(weights) == {w for d in doms for w in oh.weyl_orbit_oracle(n, alpha, d)}
+        assert set(weights) == {w for d in doms for w in oh.weyl_orbit_oracle(datum, d)}
         for w, k in zip(weights, owner):
-            assert doms[k] == kernels.dominant_rep(w, alpha, n)[0]
+            assert doms[k] == kernels.dominant_rep(datum, w)[0]
 
     check()
 
@@ -184,4 +164,4 @@ def test_orbit_walk_rejects_a_non_dominant_or_repeated_start(doms):
     # set of weights, and a repeated root lists its orbit twice.
     a2 = parse_group("A2")
     with pytest.raises(ValueError):
-        kernels.orbits(2, a2.simple_root_coords, doms)
+        kernels.orbits(a2, doms)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracle_helpers as oh
 import liespectra.torus as torus_module
 from liespectra import (
+    ResourceLimitError,
     StratumSpec,
     UnsupportedRootSystemError,
     ValueGroupElement,
@@ -278,14 +279,14 @@ def test_canonical_root_strata_are_memoized_per_depth(monkeypatch):
     first = canonical_root_strata(datum, 2)
     assert isinstance(first, tuple) and all(isinstance(k, tuple) for k in first)
     calls = 0
-    lattice_key = torus_module._lattice_key
+    hnf = torus_module.hermite_normal_form
 
-    def counting(rows, n):
+    def counting(rows):
         nonlocal calls
         calls += 1
-        return lattice_key(rows, n)
+        return hnf(rows)
 
-    monkeypatch.setattr(torus_module, "_lattice_key", counting)
+    monkeypatch.setattr(torus_module, "hermite_normal_form", counting)
     assert canonical_root_strata(datum, 2) is first and calls == 0
     canonical_root_strata(datum, 1)
     assert calls > 0  # another depth is its own search
@@ -307,6 +308,19 @@ def test_depth_two_strata_counts(name, count):
     assert len(canonical_root_strata(parse_group(name), 2)) == count
 
 
+def test_strata_reject_too_many_generator_sets_before_any_lattice_key(monkeypatch):
+    # A17 has 153 positive roots: 153 + 153*152/2 = 11,781 sets at depth 2.
+    datum = RootDatum("A", 17)
+
+    def fail(rows):
+        raise AssertionError("a lattice key was computed")
+
+    monkeypatch.setattr(torus_module, "hermite_normal_form", fail)
+    with pytest.raises(ResourceLimitError, match="11781 root generator sets"):
+        canonical_root_strata(datum, 2)
+    assert 2 not in datum._strata
+
+
 @pytest.mark.parametrize("name", ["D6", "F4", "E6", "E8"])
 def test_strata_lattice_keys_scale_with_generator_sets(name, monkeypatch):
     # One key per generator set plus rank many per member of each orbit: at
@@ -318,16 +332,16 @@ def test_strata_lattice_keys_scale_with_generator_sets(name, monkeypatch):
     p = len(datum.positive_roots)
     limit = 10 * (p + p * (p - 1) // 2)
     calls = 0
-    lattice_key = torus_module._lattice_key
+    hnf = torus_module.hermite_normal_form
 
-    def counting(rows, n):
+    def counting(rows):
         nonlocal calls
         calls += 1
         # Fail at the limit rather than wait for a search that may take hours.
         assert calls <= limit, f"more than {limit} lattice keys"
-        return lattice_key(rows, n)
+        return hnf(rows)
 
-    monkeypatch.setattr(torus_module, "_lattice_key", counting)
+    monkeypatch.setattr(torus_module, "hermite_normal_form", counting)
     canonical_root_strata(datum, 2)
     assert calls > 0
 

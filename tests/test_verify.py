@@ -101,6 +101,13 @@ def test_natural_module_regularity_pass(family, rank):
     assert report.status == "Pass", report.cases
 
 
+def test_natural_check_draws_past_the_sample_count_until_one_is_non_central():
+    # Seed 179's first A2 draw is central, so one draw alone checks nothing.
+    report = verify_natural_module_regularity("A", 2, samples=1, seed=179)
+    assert report.status == "Pass", report.cases
+    assert report.cases[0]["label"] == "A2: 1 non-central samples, 1 central skipped"
+
+
 def test_reports_are_deterministic_and_json_stable():
     r1 = run_check("c99", family="C", rank=2, dim_bound=30, depth=1, seed=4)
     r2 = run_check("c99", family="C", rank=2, dim_bound=30, depth=1, seed=4)
