@@ -12,17 +12,10 @@ import argparse
 import json
 import sys
 
+from . import CHECK_IDS, mult, spectra, torus, verify, weights
 from .exceptions import ResourceLimitError, UnsupportedRootSystemError
-from .mult import (
-    DEFAULT_DIM_BOUND,
-    freudenthal_multiplicities,
-    weyl_dimension,
-)
+from .kernels import DEFAULT_DIM_BOUND
 from .rootdata import RootDatum, Weight, build_root_datum, e_constant, parse_group
-from .spectra import classify, spectrum_of_multiset
-from .torus import torus_from_epsilon_text, torus_from_json
-from .verify import CHECK_IDS, run_check
-from .weights import level_sets
 
 
 def parse_weight_text(text: str, datum: RootDatum | None = None) -> Weight:
@@ -107,7 +100,7 @@ def _cmd_weights(args):
     lam = parse_weight_text(args.highest, datum)
     if not lam.is_dominant:
         raise ValueError(f"highest weight {args.highest!r} is not dominant")
-    ms = freudenthal_multiplicities(lam, args.dim_bound)
+    ms = mult.freudenthal_multiplicities(lam, args.dim_bound)
     payload = {
         "highest": str(lam),
         "dim": ms.total,
@@ -133,7 +126,7 @@ def _element_from_args(datum, args):
     if bool(args.element) == bool(args.epsilon):
         raise ValueError("provide exactly one of --element and --epsilon")
     if args.epsilon:
-        return torus_from_epsilon_text(datum, args.epsilon)
+        return torus.torus_from_epsilon_text(datum, args.epsilon)
     text = args.element.strip()
     if not text.startswith("{"):
         with open(text, "r", encoding="utf-8") as fh:
@@ -142,7 +135,7 @@ def _element_from_args(datum, args):
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad torus element JSON: {exc}") from None
-    return torus_from_json(datum, payload, label=args.element[:40])
+    return torus.torus_from_json(datum, payload, label=args.element[:40])
 
 
 def _cmd_spectrum(args):
@@ -151,9 +144,9 @@ def _cmd_spectrum(args):
     if not lam.is_dominant:
         raise ValueError(f"highest weight {args.highest!r} is not dominant")
     s = _element_from_args(datum, args)
-    ms = freudenthal_multiplicities(lam, args.dim_bound)
-    sp = spectrum_of_multiset(s, ms)
-    cls = classify(sp)
+    ms = mult.freudenthal_multiplicities(lam, args.dim_bound)
+    sp = spectra.spectrum_of_multiset(s, ms)
+    cls = spectra.classify(sp)
     payload = {
         "group": datum.name,
         "highest": str(lam),
@@ -189,7 +182,7 @@ def _cmd_spectrum(args):
 
 def _cmd_levels(args):
     datum = build_root_datum(args.family.upper(), args.rank)
-    assignments = level_sets(datum, args.max_level, args.bound)
+    assignments = weights.level_sets(datum, args.max_level, args.bound)
     by_level = {}
     for a in assignments:
         key = str(a.level)
@@ -210,7 +203,7 @@ def _cmd_levels(args):
 def _cmd_verify(args):
     if args.check != "witnesses" and (not args.family or args.rank is None):
         raise ValueError(f"check {args.check!r} needs --family and --rank")
-    report = run_check(
+    report = verify.run_check(
         args.check,
         family=(args.family or "").upper(),
         rank=args.rank,
@@ -241,7 +234,7 @@ def _cmd_info(args):
     datum = parse_group(args.group)
     fund = [
         {"index": i, "weight": str(datum.fundamental_weight(i)),
-         "dim": weyl_dimension(datum.fundamental_weight(i))}
+         "dim": mult.weyl_dimension(datum.fundamental_weight(i))}
         for i in range(1, datum.rank + 1)
     ]
     payload = {

@@ -18,6 +18,12 @@ from operator import add, mul, sub
 # The only kernel implementation; perfbench/run.py reads this name.
 BACKEND = "pure"
 
+# Safety bounds that callers check before a walk starts: the most weights a
+# Weyl orbit may have, and the largest module the Freudenthal recursion is run
+# for.
+DEFAULT_ORBIT_BOUND = 10_000_000
+DEFAULT_DIM_BOUND = 1_000_000
+
 
 def dominant_rep(datum, coords):
     """The dominant weight in the Weyl orbit of coords, and a reflection word.

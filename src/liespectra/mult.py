@@ -16,10 +16,8 @@ from operator import mul
 
 from .exceptions import DatumMismatchError, ResourceLimitError
 from .rootdata import FrozenRecord, RootDatum, Weight, e_constant
-from .weights import DEFAULT_ORBIT_BOUND
 from . import kernels
-
-DEFAULT_DIM_BOUND = 1_000_000
+from .kernels import DEFAULT_DIM_BOUND, DEFAULT_ORBIT_BOUND
 
 
 def validity_note(datum: RootDatum) -> str:

@@ -16,7 +16,7 @@ import random
 import time
 from fractions import Fraction
 
-from . import tables
+from . import CHECK_IDS, tables
 from .exceptions import ResourceLimitError
 from .mult import freudenthal_multiplicities, validity_note, weyl_dimension, weyl_dimension_of
 from .rootdata import Record, RootDatum, Weight, build_root_datum
@@ -633,9 +633,6 @@ def verify_natural_module_regularity(
         + (f" (first: sample {failures[0][0]}, {failures[0][1]})" if failures else ""),
     )
     return rec.report()
-
-
-CHECK_IDS = ("level-table", "witnesses", "c99", "bounds", "natural")
 
 
 def run_check(check, **kw):

@@ -10,8 +10,8 @@ from operator import add, sub
 from .exceptions import DatumMismatchError, ResourceLimitError
 from .rootdata import FrozenRecord, RootDatum, Weight
 from . import kernels
+from .kernels import DEFAULT_ORBIT_BOUND
 
-DEFAULT_ORBIT_BOUND = 10_000_000
 # Most dominant weights enumerate_dominant_by_sum will list.
 DOMINANT_ENUMERATION_BOUND = 1_000_000
 
