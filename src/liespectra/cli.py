@@ -105,7 +105,7 @@ def _cmd_weights(args):
         "highest": str(lam),
         "dim": ms.total,
         "entries": [
-            [f"[{','.join(str(c) for c in w.coords)}]", m] for w, m in ms.sorted_entries()
+            [f"[{','.join(map(str, coords))}]", m] for coords, m in ms.sorted_entries()
         ],
         "validity": ms.validity,
     }

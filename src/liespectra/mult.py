@@ -28,39 +28,39 @@ def validity_note(datum: RootDatum) -> str:
 
 
 class WeightMultiset(FrozenRecord):
-    """Weights of an irreducible module with their multiplicities.
+    """Weights of an irreducible module with their multiplicities: ``counts``
+    maps each weight's coordinate tuple to its multiplicity (``support()``
+    is the frozenset of those tuples), and ``highest`` holds the datum once.
+    ``entries`` (the same keyed by ``Weight``) and the layout read by
+    spectrum evaluation are built on first read, so ``counts`` must not
+    change after it is read."""
 
-    The layout read by spectrum evaluation (``columns_by_multiplicity``,
-    ``max_abs_coordinate``, ``label``) is gathered once, on first use, so
-    ``entries`` must not change after it is read."""
-
-    _fields = ("highest", "entries", "validity")
+    _fields = ("highest", "counts", "validity")
     __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached properties
 
-    def __init__(self, highest: Weight, entries: dict, validity: str):
-        # entries: Weight -> positive int
+    def __init__(self, highest: Weight, counts: dict, validity: str):
         _set_highest(self, highest)
-        _set_entries(self, entries)
+        _set_counts(self, counts)
         _set_validity(self, validity)
+
+    @cached_property
+    def entries(self) -> dict:
+        datum = self.highest.datum
+        return {Weight(c, datum): m for c, m in self.counts.items()}
 
     @cached_property
     def columns_by_multiplicity(self):
         """((m, columns), ...) in increasing m: for each multiplicity m, the
         omega-coordinate columns of the weights of multiplicity m, so
-        columns[i][w] is coordinate i of the w-th such weight.  Raises
-        DatumMismatchError if a weight is bound to another datum than the
-        highest weight."""
-        datum = self.highest.datum
+        columns[i][w] is coordinate i of the w-th such weight."""
         groups = {}
-        for w, m in self.entries.items():
-            if w.datum is not datum:
-                raise DatumMismatchError("weight bound to a different datum than the highest weight")
-            groups.setdefault(m, []).append(w.coords)
+        for c, m in self.counts.items():
+            groups.setdefault(m, []).append(c)
         return tuple((m, tuple(zip(*coords))) for m, coords in sorted(groups.items()))
 
     @cached_property
     def max_abs_coordinate(self) -> int:
-        return max(map(abs, chain.from_iterable(w.coords for w in self.entries)), default=0)
+        return max(map(abs, chain.from_iterable(self.counts)), default=0)
 
     @cached_property
     def label(self) -> str:
@@ -68,33 +68,33 @@ class WeightMultiset(FrozenRecord):
 
     @property
     def total(self) -> int:
-        return sum(self.entries.values())
+        return sum(self.counts.values())
 
     def multiplicity(self, w: Weight) -> int:
-        return self.entries.get(w, 0)
+        if w.datum is not self.highest.datum:
+            raise DatumMismatchError("weight bound to a different datum than the highest weight")
+        return self.counts.get(w.coords, 0)
 
     def support(self):
-        return frozenset(self.entries)
+        return frozenset(self.counts)
 
     def nonzero_multiplicities_all_one(self) -> bool:
-        return all(m == 1 for w, m in self.entries.items() if not w.is_zero)
+        return all(m == 1 for c, m in self.counts.items() if any(c))
 
     def sorted_entries(self):
-        """Entries sorted by height deficit below the highest weight, then
-        lexicographically (the report order used by the CLI)."""
-        datum = self.highest.datum
+        """(coords, multiplicity) pairs sorted by height deficit below the
+        highest weight, then lexicographically (the CLI's report order)."""
+        datum, top = self.highest.datum, self.highest.coords
 
         def key(item):
-            w = item[0]
-            diff = tuple(a - b for a, b in zip(self.highest.coords, w.coords))
-            coeffs = datum.root_coefficients(diff)
-            return (sum(coeffs), w.coords)
+            coeffs = datum.root_coefficients(tuple(a - b for a, b in zip(top, item[0])))
+            return (sum(coeffs), item[0])
 
-        return sorted(self.entries.items(), key=key)
+        return sorted(self.counts.items(), key=key)
 
 
 _set_highest = WeightMultiset.highest.__set__
-_set_entries = WeightMultiset.entries.__set__
+_set_counts = WeightMultiset.counts.__set__
 _set_validity = WeightMultiset.validity.__set__
 
 
@@ -125,7 +125,8 @@ def weyl_dimension_of(datum: RootDatum, coords) -> int:
 
 def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):
     """The saturated weight set of the module with highest weight lam: the
-    union of the Weyl orbits of all dominant weights subdominant to lam.
+    union of the Weyl orbits of all dominant weights subdominant to lam, as a
+    frozenset of coordinate tuples.
 
     Valid as the exact weight set for p = 0 or p > e(G) with lam
     p-restricted (see validity_note).  The orbit of a dominant mu has
@@ -147,7 +148,7 @@ def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):
             f"weight set of {lam} has {total} elements, exceeding the orbit bound {orbit_bound}"
         )
     weights, _ = kernels.orbits(datum, doms)
-    return frozenset(Weight._bulk(weights, datum))
+    return frozenset(weights)
 
 
 def freudenthal_multiplicities(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -> WeightMultiset:
@@ -164,8 +165,8 @@ def freudenthal_multiplicities(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) 
             f"module {lam} has dimension {dim}, exceeding the dimension bound {dim_bound}"
         )
     _, mults, index = kernels.freudenthal(datum, lam.coords)
-    entries = dict(zip(Weight._bulk(index, datum), map(mults.__getitem__, index.values())))
-    return WeightMultiset(highest=lam, entries=entries, validity=validity_note(datum))
+    counts = dict(zip(index, map(mults.__getitem__, index.values())))
+    return WeightMultiset(highest=lam, counts=counts, validity=validity_note(datum))
 
 
 def zero_weight_multiplicity(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -> int:

@@ -123,19 +123,6 @@ class Weight(FrozenRecord):
         _set_coords(self, coords)
         _set_datum(self, datum)
 
-    @staticmethod
-    def _bulk(coords_seq, datum):
-        """Weights for kernel output, whose coordinate tuples already have
-        datum.rank entries: a list, built without the rank check."""
-        out = []
-        append = out.append
-        for coords in coords_seq:
-            w = _new(Weight)
-            _set_coords(w, coords)
-            _set_datum(w, datum)
-            append(w)
-        return out
-
     def __repr__(self):
         return f"Weight(coords={self.coords!r})"
 
@@ -180,7 +167,6 @@ class Weight(FrozenRecord):
         return f"{self.datum.name}:[{','.join(str(c) for c in self.coords)}]"
 
 
-_new = object.__new__
 _set_coords = Weight.coords.__set__
 _set_datum = Weight.datum.__set__
 

@@ -102,7 +102,7 @@ def weyl_orbit(mu: Weight, bound: int = DEFAULT_ORBIT_BOUND):
     datum = mu.datum
     coords = kernels.weyl_orbit(datum, mu.coords)
     assert len(coords) == size
-    return tuple(Weight._bulk(coords, datum))
+    return tuple([Weight(c, datum) for c in coords])
 
 
 def subdominant_weights(lam: Weight):
@@ -111,7 +111,7 @@ def subdominant_weights(lam: Weight):
         raise ValueError(f"subdominant enumeration needs a dominant weight, got {lam}")
     datum = lam.datum
     coords = kernels.dominant_subdominants(datum, lam.coords)
-    return tuple(Weight._bulk(coords, datum))
+    return tuple([Weight(c, datum) for c in coords])
 
 
 def minimal_nonzero_subdominant(lam: Weight):

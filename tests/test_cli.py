@@ -42,6 +42,16 @@ def test_weights_command_json_matches_text(capsys):
     assert "characteristic-0" in payload["validity"]
 
 
+def test_weights_json_lists_every_weight_in_report_order(capsys):
+    # Height deficit below the highest weight first, then lexicographic.
+    code, out, _ = invoke(capsys, "weights", "--group", "B2", "--highest", "[1,1]", "--json")
+    assert code == 0
+    assert json.loads(out)["entries"] == [
+        ["[1,1]", 1], ["[-1,3]", 1], ["[2,-1]", 1], ["[0,1]", 2], ["[-2,3]", 1], ["[1,-1]", 2],
+        ["[-1,1]", 2], ["[2,-3]", 1], ["[0,-1]", 2], ["[-2,1]", 1], ["[1,-3]", 1], ["[-1,-1]", 1],
+    ]
+
+
 def test_spectrum_command_with_epsilon_shorthand(capsys):
     code, out, _ = invoke(
         capsys, "spectrum", "--group", "A3", "--highest", "[0,1,0]",

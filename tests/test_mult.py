@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_helpers as oh
 from liespectra import (
+    DatumMismatchError,
     ResourceLimitError,
+    Weight,
     build_root_datum,
     dominance_compare,
     dominant_representative,
@@ -39,6 +41,31 @@ def test_a2_adjoint_multiplicities():
     for root in a2.positive_roots:
         assert ms.multiplicity(root) == 1
         assert ms.multiplicity(-root) == 1
+
+
+def test_multiplicity_rejects_a_weight_of_another_datum():
+    # counts is keyed by coordinates alone, so a weight of another datum with
+    # a weight's coordinates must be refused, not looked up.
+    a3 = build_root_datum("A", 3)
+    ms = freudenthal_multiplicities(a3.fundamental_weight(1))
+    assert ms.counts == {(1, 0, 0): 1, (-1, 1, 0): 1, (0, -1, 1): 1, (0, 0, -1): 1}
+    assert ms.multiplicity(a3.weight((1, 0, 0))) == 1
+    assert ms.multiplicity(a3.weight((0, 1, 0))) == 0
+    for other in (build_root_datum("B", 3), build_root_datum("C", 3)):
+        for coords in ((1, 0, 0), (0, 1, 0)):
+            with pytest.raises(DatumMismatchError):
+                ms.multiplicity(other.weight(coords))
+    with pytest.raises(DatumMismatchError):
+        ms.multiplicity(build_root_datum("A", 2).zero())
+
+
+def test_entries_are_the_counts_keyed_by_weights():
+    b2 = build_root_datum("B", 2)
+    ms = freudenthal_multiplicities(b2.weight((1, 1)))
+    assert ms.entries == {b2.weight(c): m for c, m in ms.counts.items()}
+    assert all(type(w) is Weight and w.datum is b2 for w in ms.entries)
+    assert ms.entries is ms.entries
+    assert ms.support() == frozenset(ms.counts) == premet_weight_set(ms.highest)
 
 
 def test_c2_five_dimensional_module():
@@ -79,12 +106,12 @@ def test_premet_set_examples():
     want = {r.coords for r in a2.positive_roots}
     want |= {(-a, -b) for a, b in want}
     want.add((0, 0))
-    assert coords_set(got) == want and len(got) == 7
+    assert got == want and len(got) == 7
 
     b3 = build_root_datum("B", 3)
     spin = b3.fundamental_weight(3)
-    assert coords_set(premet_weight_set(spin)) == coords_set(weyl_orbit(spin))
-    assert coords_set(premet_weight_set(b3.zero())) == {(0, 0, 0)}
+    assert premet_weight_set(spin) == coords_set(weyl_orbit(spin))
+    assert premet_weight_set(b3.zero()) == {(0, 0, 0)}
 
 
 @pytest.mark.parametrize(
@@ -241,11 +268,11 @@ def test_weight_set_of_a_sum_is_the_sum_of_weight_sets(name):
     for _ in range(4):
         lam, mu = rng.choice(doms), rng.choice(doms)
         sums = {
-            tuple(a + b for a, b in zip(x.coords, y.coords))
+            tuple(a + b for a, b in zip(x, y))
             for x in premet_weight_set(lam)
             for y in premet_weight_set(mu)
         }
-        assert coords_set(premet_weight_set(lam + mu)) == sums
+        assert premet_weight_set(lam + mu) == sums
 
 
 def test_dimension_bound_rejection():
@@ -272,7 +299,7 @@ def test_premet_orbit_bound_is_exact(name, coords):
     lam = datum.weight(coords)
     expected = oh.weight_set_oracle(datum, coords)
     size = len(expected)
-    assert coords_set(premet_weight_set(lam, orbit_bound=size)) == expected
+    assert premet_weight_set(lam, orbit_bound=size) == expected
     with pytest.raises(ResourceLimitError):
         premet_weight_set(lam, orbit_bound=size - 1)
 

@@ -10,12 +10,15 @@ import oracle_helpers as oh
 from liespectra import (
     DatumMismatchError,
     Spectrum,
+    StratumSpec,
     ValueGroupElement,
+    Weight,
     build_root_datum,
     classify,
     classify_multiset,
     freudenthal_multiplicities,
     generic_regular_element,
+    generic_stratum_element,
     is_almost_simple,
     is_regular,
     minimal_nonzero_subdominant,
@@ -29,7 +32,7 @@ from liespectra import (
     torus_from_epsilon_text,
     zero_weight_multiplicity,
 )
-from liespectra.mult import WeightMultiset, weyl_dimension
+from liespectra.mult import weyl_dimension
 from liespectra.spectra import SpectrumKind
 from liespectra.verify import sweep_elements
 from liespectra.weights import enumerate_dominant_by_sum, is_radical, dominates
@@ -206,14 +209,35 @@ def test_spectrum_of_multiset_rejects_a_multiset_of_another_datum():
         spectrum_of_multiset(s, foreign)
 
 
-def test_spectrum_of_multiset_rejects_a_weight_of_another_datum():
-    a3, b3 = build_root_datum("A", 3), build_root_datum("B", 3)
-    s = torus_from_epsilon_text(a3, "a,b,1/a,1/b")
-    ms = freudenthal_multiplicities(a3.fundamental_weight(1))
-    mixed = WeightMultiset(ms.highest, {**ms.entries, b3.fundamental_weight(1): 1}, ms.validity)
-    for read in (spectrum_of_multiset, classify_multiset):
-        with pytest.raises(DatumMismatchError):
-            read(s, mixed)
+def test_the_module_path_builds_no_weight_per_weight(monkeypatch):
+    # Inside a module, weights are coordinate tuples: building the multiset
+    # and the weight set and reading spectra off them constructs no Weight
+    # per weight, so E6 L(w1+w6), with 49 times the weights of A2 L(w1+w2),
+    # makes as few.
+    cases = []
+    for name, coords in (("A2", (1, 1)), ("E6", (1, 0, 0, 0, 0, 1))):
+        datum = parse_group(name)
+        spec = StratumSpec(datum, (datum.highest_root,))
+        cases.append((datum.weight(coords),
+                      (generic_regular_element(datum), generic_stratum_element(spec, seed=1))))
+    init, made = Weight.__init__, []
+
+    def counting_init(self, coords, datum):
+        made[-1] += 1
+        init(self, coords, datum)
+
+    monkeypatch.setattr(Weight, "__init__", counting_init)
+    sizes = []
+    for lam, elements in cases:
+        made.append(0)
+        ms = freudenthal_multiplicities(lam)
+        assert premet_weight_set(lam) == ms.support()
+        for s in elements:
+            assert spectrum_of_multiset(s, ms).total == ms.total
+            classify_multiset(s, ms)
+        sizes.append(len(ms.counts))
+    assert sizes == [7, 343]
+    assert made[0] == made[1] <= 2
 
 
 def test_spectrum_total_is_module_dimension():
@@ -362,15 +386,15 @@ def test_tensor_route_separation():
     lam = c2.weight((0, 2))
     mu = nu = c2.fundamental_weight(2)
     sums = {
-        tuple(x + y for x, y in zip(a.coords, b.coords))
+        tuple(x + y for x, y in zip(a, b))
         for a in premet_weight_set(mu)
         for b in premet_weight_set(nu)
     }
-    assert {w.coords for w in premet_weight_set(lam)} == sums
+    assert premet_weight_set(lam) == sums
     sp = spectrum(s, lam)
     if is_almost_simple(sp):
-        assert separates_weights(s, premet_weight_set(mu))
-        assert separates_weights(s, premet_weight_set(nu))
+        assert separates_weights(s, [c2.weight(c) for c in premet_weight_set(mu)])
+        assert separates_weights(s, [c2.weight(c) for c in premet_weight_set(nu)])
     # The almost-simple witness on the 5-dimensional module does separate
     # the natural module's weights.
     assert is_almost_simple(spectrum(s, c2.fundamental_weight(2)))

@@ -24,17 +24,24 @@ from liespectra import (
     separates_weights,
     spectrum,
     torus_element,
+    torus_from_epsilon,
     torus_from_epsilon_text,
     torus_from_json,
 )
 from liespectra.rootdata import RootDatum
 from liespectra.spectra import SpectrumKind, classify
-from liespectra.torus import parse_epsilon_shorthand, stratum_torsion_decorations
+from liespectra.torus import EpsilonToken, parse_epsilon_shorthand, stratum_torsion_decorations
 from liespectra.verify import sample_torus_element
 
 
 def val(torsion, free):
     return ValueGroupElement.make(Fraction(torsion), free)
+
+
+def weight_set(lam):
+    """premet_weight_set(lam) as sorted Weights, for the torus functions
+    that take them."""
+    return [lam.datum.weight(c) for c in sorted(premet_weight_set(lam))]
 
 
 def test_value_group_arithmetic():
@@ -76,7 +83,7 @@ def test_split_pair_element_of_sl4():
     assert not is_central(s)
     assert evaluate(s, a3.fundamental_weight(2)) == val(0, (2,))
     # The natural module's weights are not separated (two epsilons agree).
-    assert not separates_weights(s, premet_weight_set(a3.fundamental_weight(1)))
+    assert not separates_weights(s, weight_set(a3.fundamental_weight(1)))
 
 
 def test_sign_twisted_element_assignments():
@@ -140,8 +147,8 @@ def test_generic_regular_element_separates_everything():
     a2 = build_root_datum("A", 2)
     s = generic_regular_element(a2)
     assert is_regular(s)
-    assert separates_weights(s, premet_weight_set(a2.fundamental_weight(1)))
-    assert separates_weights(s, premet_weight_set(a2.weight((2, 2))))
+    assert separates_weights(s, weight_set(a2.fundamental_weight(1)))
+    assert separates_weights(s, weight_set(a2.weight((2, 2))))
 
 
 def _oracle_elements(datum, rng):
@@ -171,8 +178,7 @@ def test_character_evaluation_matches_the_fraction_oracle(name):
         + [datum.fundamental_weight(i) for i in range(1, datum.rank + 1)]
         + [datum.weight([rng.randrange(-4, 5) for _ in range(datum.rank)]) for _ in range(20)]
     )
-    weight_sets = [premet_weight_set(datum.fundamental_weight(1)),
-                   premet_weight_set(datum.highest_root)]
+    weight_sets = [weight_set(datum.fundamental_weight(1)), weight_set(datum.highest_root)]
     seen = set()
     for s in _oracle_elements(datum, rng):
         for w in weights:
@@ -204,7 +210,7 @@ def test_single_root_stratum_of_sl4():
     # Forced coincidences on the natural module are exactly the pairs whose
     # difference lies in the rational span of the kernel (trivial torsion).
     kernel_rows = [a3.simple_roots[0].coords]
-    weights = sorted(premet_weight_set(a3.fundamental_weight(1)), key=lambda w: w.coords)
+    weights = weight_set(a3.fundamental_weight(1))
     for i, mu in enumerate(weights):
         for nu in weights[i + 1:]:
             collide = evaluate(s, mu) == evaluate(s, nu)
@@ -217,7 +223,7 @@ def test_exact_order_torsion_forces_the_stated_kernel():
     long_root = c2.simple_roots[1]  # (-2, 2), index 2 quotient generator
     spec = StratumSpec(c2, (long_root,), {0: Fraction(1, 2)})
     s = generic_stratum_element(spec, seed=0)
-    weights = sorted(premet_weight_set(c2.weight((1, 1))), key=lambda w: w.coords)
+    weights = weight_set(c2.weight((1, 1)))
     for i, mu in enumerate(weights):
         for nu in weights[i + 1:]:
             collide = evaluate(s, mu) == evaluate(s, nu)
@@ -377,6 +383,66 @@ def test_epsilon_shorthand_supports_torsion_marks():
     spin = torus_from_epsilon_text(build_root_datum("B", 3), "-1,a,b")
     # The spin assignment is the canonical half of the total torsion.
     assert spin.assignments[2].torsion == Fraction(1, 4)
+
+
+EPSILON_GROUPS = [f"{f}{n}" for f, ranks in (("A", range(1, 6)), ("B", range(2, 6)),
+                                              ("C", range(2, 6)), ("D", (4, 5))) for n in ranks]
+EPSILON_SYMBOLS = ("a", "b", "c", "x1", "t_2")
+
+
+@st.composite
+def epsilon_cases(draw):
+    """(datum, [(torsion, powers)], shorthand text): epsilon values as
+    EpsilonToken fields, and one rendering of them.  Symbol-free entries
+    take torsion 0, 1/2, 1/4 or 3/4 (1, -1, i, -i); an entry with a symbol
+    takes torsion 0 or 1/2.  Half the draws pair each value with its inverse
+    (padded with 1), so family A also gets inputs of product 1."""
+    datum = parse_group(draw(st.sampled_from(EPSILON_GROUPS)))
+    count = datum.rank + (datum.family == "A")
+
+    def value():
+        if draw(st.booleans()):
+            return Fraction(draw(st.integers(0, 3)), 4), {}
+        return (Fraction(draw(st.integers(0, 1)), 2),
+                {draw(st.sampled_from(EPSILON_SYMBOLS)): draw(st.integers(-3, 3))})
+
+    if draw(st.booleans()):
+        values = [value() for _ in range(count)]
+    else:
+        half = [value() for _ in range(count // 2)]
+        values = half + [(-t % 1, {k: -e for k, e in powers.items()}) for t, powers in half]
+        values += [(Fraction(0), {})] * (count % 2)
+        values = draw(st.permutations(values))
+
+    def render(torsion, powers):
+        if not powers:
+            return draw(st.sampled_from({0: ["1", "+1"], Fraction(1, 2): ["-1"],
+                                         Fraction(1, 4): ["i", "+i"], Fraction(3, 4): ["-i"]}[torsion]))
+        [(name, e)] = powers.items()
+        forms = [f"{name}^{e}", f"1/{name}^{-e}"]
+        forms += {1: [name], -1: [f"1/{name}"]}.get(e, [])
+        sign = "-" if torsion else draw(st.sampled_from(["", "+"]))
+        return sign + draw(st.sampled_from(forms))
+
+    separator = draw(st.sampled_from([",", ", ", " , "]))
+    return datum, values, separator.join(render(*v) for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(epsilon_cases())
+def test_epsilon_text_builds_the_element_of_its_tokens(case):
+    datum, values, text = case
+
+    def outcome(build):
+        try:
+            s = build()
+        except ValueError as err:
+            return "ValueError", str(err)
+        return s.assignments, s.gen_names, s.gen_denoms
+
+    tokens = [EpsilonToken(t, powers) for t, powers in values]
+    assert outcome(lambda: torus_from_epsilon_text(datum, text)) == outcome(
+        lambda: torus_from_epsilon(datum, tokens)), text
 
 
 def test_torus_json_roundtrip():

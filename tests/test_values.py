@@ -20,7 +20,7 @@ HALF = ValueGroupElement(Fraction(1, 2), (1,))
 LAM = A2.weight((1, 0))
 # One instance of each class, built afresh on each call.
 MAKE = {
-    "WeightMultiset": lambda: WeightMultiset(LAM, {LAM: 1}, "valid"),
+    "WeightMultiset": lambda: WeightMultiset(LAM, {LAM.coords: 1}, "valid"),
     "Spectrum": lambda: Spectrum(((HALF, 2),), ("s", "lam"), "valid"),
     "SpectrumClass": lambda: SpectrumClass(SpectrumKind.ALMOST_SIMPLE, HALF, 2),
     "ValueGroupElement": lambda: ValueGroupElement(Fraction(1, 2), (1,)),
@@ -31,7 +31,7 @@ MAKE = {
 }
 # The same with one field changed.
 VARIANT = {
-    "WeightMultiset": lambda: WeightMultiset(LAM, {LAM: 1}, "x"),
+    "WeightMultiset": lambda: WeightMultiset(LAM, {LAM.coords: 1}, "x"),
     "Spectrum": lambda: Spectrum(((HALF, 2),), ("s", "lam"), "x"),
     "SpectrumClass": lambda: SpectrumClass(SpectrumKind.ALMOST_SIMPLE, HALF, 5),
     "ValueGroupElement": lambda: ValueGroupElement(Fraction(1, 2), (2,)),
@@ -58,7 +58,7 @@ FIELD = {"WeightMultiset": ("validity", "x"), "Spectrum": ("validity", "x"),
 
 @pytest.mark.parametrize("name, expected", [
     ("WeightMultiset",
-     "WeightMultiset(highest=Weight(coords=(1, 0)), entries={Weight(coords=(1, 0)): 1}, "
+     "WeightMultiset(highest=Weight(coords=(1, 0)), counts={(1, 0): 1}, "
      "validity='valid')"),
     ("Spectrum",
      "Spectrum(entries=((ValueGroupElement(torsion=Fraction(1, 2), free=(1,)), 2),), "

@@ -237,7 +237,7 @@ def test_is_minuscule():
     assert not is_minuscule(b3.zero())
     # Minuscule means the orbit is the whole weight set.
     w5 = d5.fundamental_weight(5)
-    assert set(weyl_orbit(w5)) == set(premet_weight_set(w5))
+    assert {w.coords for w in weyl_orbit(w5)} == premet_weight_set(w5)
 
 
 def test_level_sets_examples():
