@@ -8,11 +8,16 @@ gives the module's orbit index, {weight: index of its dominant weight}
 alpha-string; each string stops at its first dominant weight (see
 `freudenthal`).  Every kernel takes the RootDatum first and reads the root
 data it needs from it.
+
+A module's closure and orbit index are computed once and shared by everything
+asked of that module (see `module_walk`): the multiplicities and the weight
+set of one module run one closure and one walk between them.  The memo holds
+one module, the last one asked for, process-wide.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul, sub
 
 # The only kernel implementation; perfbench/run.py reads this name.
@@ -165,6 +170,36 @@ def orbit_expand(datum, doms):
     return dict(zip(weights, owner))
 
 
+class ModuleWalk:
+    """The dominant weights of one module, ``doms`` (as returned by
+    dominant_subdominants), and its orbit index ``index`` (as returned by
+    orbit_expand), walked on first read.  Both are shared with every later
+    reader of the memo and must not be changed."""
+
+    def __init__(self, datum, doms):
+        self.datum = datum
+        self.doms = doms
+
+    @cached_property
+    def index(self):
+        # Through the module global, so that a wrapper installed on it sees the call.
+        return orbit_expand(self.datum, self.doms)
+
+
+@lru_cache(maxsize=1)
+def module_walk(datum, lam):
+    """The ModuleWalk of the module with dominant highest weight lam.
+
+    One slot, process-wide: asking for the module that was asked for last
+    reuses its closure and walk, and any other module replaces it, so the
+    memory held is bounded by the last module.  A slot per datum would keep
+    one module per group alive, and a caller who asks for the same few
+    modules over and over (a benchmark reusing its inputs) would then time
+    memo reads instead of kernels.
+    """
+    return ModuleWalk(datum, dominant_subdominants(datum, lam))
+
+
 def _quad(coords, sform, n):
     total = 0
     for i in range(n):
@@ -182,12 +217,14 @@ def freudenthal(datum, lam):
 
     Returns (doms, mults, index): doms sorted by increasing height deficit,
     mults[i] the multiplicity of doms[i], and index the module's orbit index
-    {weight: i with doms[i] its dominant weight} (see orbit_expand).  In
-    characteristic 0 the weight set is the union of the Weyl orbits of all
-    dominant mu <= lam, so index lists exactly the module's weights, and a
-    string step nu is looked up as index.get(nu): by Weyl invariance nu has
-    the multiplicity of its dominant weight, and nu is not a weight if absent.
-    The recursion fills multiplicities in the order of doms.
+    {weight: i with doms[i] its dominant weight} (see orbit_expand).  doms
+    and index come from module_walk, so they are shared and must not be
+    changed.  In characteristic 0 the weight set is the union of the Weyl
+    orbits of all dominant mu <= lam, so index lists exactly the module's
+    weights, and a string step nu is looked up as index.get(nu): by Weyl
+    invariance nu has the multiplicity of its dominant weight, and nu is not
+    a weight if absent.  The recursion fills multiplicities in the order of
+    doms.
 
     For each dominant mu and positive root alpha the string sum
     S_alpha(mu) = sum_{k>=1} m(mu+k alpha) (mu+k alpha, alpha) is stored, so
@@ -200,10 +237,13 @@ def freudenthal(datum, lam):
     first ends there.  As mu is dominant, a string that steps off the
     dominant chamber never returns to it, so the stored sum is picked up at
     mu+alpha or not at all.
+
+    Every dominant weight below lam has multiplicity >= 1 in characteristic
+    0, so a multiplicity that is not a positive integer is a fault and raises
+    AssertionError.
     """
-    doms = dominant_subdominants(datum, lam)
-    # Through the module global, so that a wrapper installed on it sees the call.
-    index = orbit_expand(datum, doms)
+    walk = module_walk(datum, lam)
+    doms, index = walk.doms, walk.index
     get = index.get
     n, sform = datum.rank, datum.form_scaled
     steps = tuple(zip(datum.positive_root_coords, datum.coroot_pairings, datum.root_half_lengths))
@@ -231,7 +271,10 @@ def freudenthal(datum, lam):
         suffix.append(sums)
         denom = qlam - _quad([x + 1 for x in mu], sform, n)
         num = 2 * datum.form_denominator * sum(sums)
-        if denom <= 0 or num % denom:
-            raise AssertionError("Freudenthal recursion produced a non-integer")
+        if denom <= 0 or num <= 0 or num % denom:
+            raise AssertionError(
+                f"Freudenthal recursion gave {mu} the multiplicity {num}/{denom}, "
+                "not a positive integer"
+            )
         mults[idx] = num // denom
     return doms, mults, index

@@ -131,14 +131,16 @@ def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):
     Valid as the exact weight set for p = 0 or p > e(G) with lam
     p-restricted (see validity_note).  The orbit of a dominant mu has
     |W| / |W_J| weights, J the zero coordinates of mu, so the set's size is
-    checked against orbit_bound before any orbit is walked.
+    checked against orbit_bound before any orbit is walked.  The closure and
+    the walk are the module's `kernels.module_walk`, so right after
+    freudenthal_multiplicities(lam) neither runs again.
     """
     if not lam.is_dominant:
         raise ValueError(f"weight set enumeration needs a dominant weight, got {lam}")
     datum = lam.datum
-    doms = kernels.dominant_subdominants(datum, lam.coords)
+    walk = kernels.module_walk(datum, lam.coords)
     order = datum.weyl_order()
-    supports = Counter(tuple(map(bool, mu)) for mu in doms)
+    supports = Counter(tuple(map(bool, mu)) for mu in walk.doms)
     total = sum(
         count * (order // datum.weyl_order(i for i, c in enumerate(nonzero) if not c))
         for nonzero, count in supports.items()
@@ -147,13 +149,15 @@ def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):
         raise ResourceLimitError(
             f"weight set of {lam} has {total} elements, exceeding the orbit bound {orbit_bound}"
         )
-    weights, _ = kernels.orbits(datum, doms)
-    return frozenset(weights)
+    return frozenset(walk.index)
 
 
 def freudenthal_multiplicities(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -> WeightMultiset:
     """Characteristic-0 weight multiplicities of the irreducible module with
-    highest weight lam."""
+    highest weight lam.  The dimension is checked against dim_bound before any
+    kernel runs; the kernel's closure and orbit walk are kept for the next
+    question about the same module (see `kernels.module_walk`), so
+    premet_weight_set(lam) after this call walks nothing."""
     if dim_bound < 0:
         raise ValueError(f"dimension bound must be >= 0, got {dim_bound}")
     if not lam.is_dominant:

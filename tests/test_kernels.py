@@ -61,6 +61,22 @@ def test_subdominant_backends_agree(name, lam):
     assert got == sorted(oh.subdominant_oracle(datum, lam), key=lambda mu: (deficit(mu), mu))
 
 
+def test_freudenthal_refuses_a_dominant_weight_of_multiplicity_zero(monkeypatch):
+    # Every dominant weight below lam has multiplicity >= 1 in characteristic
+    # 0.  Slip (1,), which is not a weight of the A1 module L(2), into the
+    # closure: its recursion sums to 0, and the kernel must not report it.
+    a1 = build_root_datum("A", 1)
+    closure = kernels.dominant_subdominants
+    monkeypatch.setattr(kernels, "dominant_subdominants",
+                        lambda datum, lam: closure(datum, lam) + [(1,)])
+    kernels.module_walk.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="not a positive integer"):
+            kernels.freudenthal(a1, (2,))
+    finally:
+        kernels.module_walk.cache_clear()
+
+
 def test_a1_6000_has_3001_dominant_weights_all_of_multiplicity_one():
     a1 = build_root_datum("A", 1)
     doms, mults, _ = kernels.freudenthal(a1, (6000,))

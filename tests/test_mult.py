@@ -19,6 +19,7 @@ from liespectra import (
     weyl_orbit,
     zero_weight_multiplicity,
 )
+from liespectra import kernels
 from liespectra.weights import Dominance, enumerate_dominant_by_sum
 
 
@@ -309,3 +310,67 @@ def test_validity_note_is_attached():
     ms = freudenthal_multiplicities(c2.fundamental_weight(1))
     assert "p=0 or p>e(G)=2" in ms.validity
     assert "characteristic-0" in ms.validity
+
+
+# The multiplicities and the weight set of one module share its closure and
+# orbit walk through kernels.module_walk, a memo of one module.
+
+
+@pytest.fixture
+def cold_walk():
+    kernels.module_walk.cache_clear()
+    yield
+    kernels.module_walk.cache_clear()
+
+
+def record_calls(monkeypatch, name):
+    """The second argument of every later call to kernels.<name>, checking
+    at each call that the memo holds at most one module."""
+    calls, fn = [], getattr(kernels, name)
+
+    def recording(datum, arg):
+        calls.append(arg)
+        assert kernels.module_walk.cache_info().currsize <= 1
+        return fn(datum, arg)
+
+    monkeypatch.setattr(kernels, name, recording)
+    return calls
+
+
+def test_multiplicities_then_weight_set_walk_the_module_once(monkeypatch, cold_walk):
+    walks = record_calls(monkeypatch, "orbits")
+    b2 = build_root_datum("B", 2)
+    lam, other = b2.weight((1, 1)), parse_group("G2").weight((1, 0))
+    ms = freudenthal_multiplicities(lam)
+    assert premet_weight_set(lam) == ms.support()
+    assert [doms[0] for doms in walks] == [(1, 1)]
+    # Another module in between takes the one slot, so lam is walked again.
+    freudenthal_multiplicities(other)
+    assert premet_weight_set(lam) == ms.support()
+    assert [doms[0] for doms in walks] == [(1, 1), (1, 0), (1, 1)]
+    assert kernels.module_walk.cache_info().currsize == 1
+
+
+def test_a_warm_weight_set_runs_no_second_closure(monkeypatch, cold_walk):
+    closures = record_calls(monkeypatch, "dominant_subdominants")
+    lam = build_root_datum("C", 3).weight((2, 1, 1))
+    freudenthal_multiplicities(lam)
+    premet_weight_set(lam)
+    assert closures == [(2, 1, 1)]
+
+
+@pytest.mark.parametrize("name,coords", [("A3", (2, 0, 1)), ("B3", (0, 1, 0)), ("G2", (1, 1))])
+def test_answers_and_rejections_do_not_depend_on_call_history(name, coords, cold_walk):
+    datum = parse_group(name)
+    lam = datum.weight(coords)
+    cold_set = premet_weight_set(lam)
+    kernels.module_walk.cache_clear()
+    cold_counts = freudenthal_multiplicities(lam).counts
+    assert premet_weight_set(lam) == cold_set == frozenset(cold_counts)
+    # A warm memo skips the walk, not the bounds checked before it.
+    with pytest.raises(ResourceLimitError):
+        premet_weight_set(lam, orbit_bound=len(cold_set) - 1)
+    premet_weight_set(lam)
+    with pytest.raises(ResourceLimitError):
+        freudenthal_multiplicities(lam, dim_bound=weyl_dimension(lam) - 1)
+    assert freudenthal_multiplicities(lam).counts == cold_counts
