@@ -227,7 +227,7 @@ def _cmd_verify(args):
         yield f"  elapsed: {p['elapsed_seconds']}s"
 
     _emit(payload, args.json, render)
-    return 0 if report.status in ("Pass", "Skipped") else 1
+    return 0 if report.status == "Pass" else 1
 
 
 def _cmd_info(args):

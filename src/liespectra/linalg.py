@@ -89,8 +89,9 @@ def hermite_normal_form(rows):
         done.append(piv)
         col += 1
     assert not work
-    # Reduce entries above pivots.
-    for i in reversed(range(len(done))):
+    # Reduce entries above pivots, top pivot first: row i changes only the
+    # columns from its pivot on, so it cannot undo an earlier reduction.
+    for i in range(len(done)):
         pcol = next(j for j, x in enumerate(done[i]) if x != 0)
         for k in range(i):
             q = done[k][pcol] // done[i][pcol]
@@ -100,20 +101,20 @@ def hermite_normal_form(rows):
 
 
 def smith_normal_form(a):
-    """Smith normal form with transforms: returns (d, u, v) where
-    u @ a @ v = diag(d) padded to the shape of a, u and v unimodular.
+    """Smith normal form: (d, v) with u @ a @ v = diag(d) padded to the
+    shape of a, for unimodular v and some unimodular u that is not built.
 
-    d lists the diagonal entries (nonnegative, each dividing the next).
+    d lists the nonzero diagonal entries, each positive and dividing the
+    next.  Row i of v holds the coordinates of basis vector i in
+    Z^ncols / (rows of a): the first len(d) mod d, the rest free.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     m = [list(row) for row in a]
-    u = identity_matrix(nrows)
     v = identity_matrix(ncols)
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in m:
@@ -123,17 +124,12 @@ def smith_normal_form(a):
 
     def add_row(src, dst, f):
         m[dst] = [x + f * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, f):
         for r in m:
             r[dst] += f * r[src]
         for r in v:
             r[dst] += f * r[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(nrows, ncols):
@@ -168,7 +164,7 @@ def smith_normal_form(a):
             if cleared:
                 break
         if m[t][t] < 0:
-            negate_row(t)
+            m[t] = [-x for x in m[t]]
         # Divisibility: fold any non-multiple into the pivot position.
         bad = None
         for i in range(t + 1, nrows):
@@ -182,7 +178,5 @@ def smith_normal_form(a):
             add_row(bad, t, 1)
             continue
         t += 1
-    d = [m[i][i] for i in range(min(nrows, ncols))]
-    while d and d[-1] == 0:
-        d.pop()
-    return d, u, v
+    # The loop stops at the first all-zero block, so t is the rank.
+    return [m[i][i] for i in range(t)], v

@@ -302,9 +302,14 @@ class StratumSpec(FrozenRecord):
     """A subfamily of torus elements cut by forcing the given characters to
     evaluate to the identity, with optional roots of unity on the torsion
     generators of the quotient lattice.  Unhashable: torsion_choices is a
-    dict (None gives a new empty one)."""
+    dict (None gives a new empty one).
 
-    __slots__ = _fields = ("datum", "kernel_weights", "torsion_choices")
+    The Smith form (d, v) of the kernel (``smith_normal_form``) describes
+    the quotient; it is computed once here and kept in two slots outside
+    the fields, so equality, repr, copy and pickle see only the fields."""
+
+    _fields = ("datum", "kernel_weights", "torsion_choices")
+    __slots__ = _fields + ("_d", "_v")
 
     def __init__(self, datum: RootDatum, kernel_weights: tuple, torsion_choices: dict = None):
         kernel_weights = tuple(kernel_weights)
@@ -314,27 +319,26 @@ class StratumSpec(FrozenRecord):
         _set_spec_datum(self, datum)
         _set_spec_kernel_weights(self, kernel_weights)
         _set_spec_torsion_choices(self, {} if torsion_choices is None else torsion_choices)
-        d, _, _ = self._snf()
+        # An empty kernel is given as one zero row, so v is still n x n.
+        d, v = smith_normal_form([w.coords for w in kernel_weights] or [(0,) * datum.rank])
         if len(d) == datum.rank and all(x == 1 for x in d):
             raise ValueError(
                 "kernel weights generate the full character lattice; only the identity survives"
             )
-
-    def _snf(self):
-        rows = [list(w.coords) for w in self.kernel_weights]
-        if not rows:
-            return [], [], [[int(i == j) for j in range(self.datum.rank)] for i in range(self.datum.rank)]
-        return smith_normal_form(rows)
+        _set_spec_d(self, d)
+        _set_spec_v(self, v)
 
 
 _set_spec_datum = StratumSpec.datum.__set__
 _set_spec_kernel_weights = StratumSpec.kernel_weights.__set__
 _set_spec_torsion_choices = StratumSpec.torsion_choices.__set__
+_set_spec_d = StratumSpec._d.__set__
+_set_spec_v = StratumSpec._v.__set__
 
 
 def generic_stratum_element(spec: StratumSpec, seed: int = 0) -> TorusElement:
     """Generic element of the stratum: the quotient of the weight lattice by
-    the kernel is computed by Smith normal form; free quotient generators
+    the kernel is read from the spec's Smith form; free quotient generators
     receive independent generic generators, torsion quotient generators the
     requested (or seeded) roots of unity.
 
@@ -343,7 +347,7 @@ def generic_stratum_element(spec: StratumSpec, seed: int = 0) -> TorusElement:
     """
     datum = spec.datum
     n = datum.rank
-    d, _, v = spec._snf()
+    d, v = spec._d, spec._v
     r = len(d)
     if r == n:
         raise ValueError("stratum is central/finite: kernel has full rank")
@@ -374,11 +378,10 @@ def generic_stratum_element(spec: StratumSpec, seed: int = 0) -> TorusElement:
     return TorusElement(datum, tuple(assignments), label=label)
 
 
-def describe_stratum(spec: StratumSpec, torsion_values=None):
+def describe_stratum(spec: StratumSpec, torsion_values):
     kern = ",".join(str(w) for w in spec.kernel_weights) or "generic"
-    tv = torsion_values if torsion_values is not None else spec.torsion_choices
-    if tv:
-        tpart = ";".join(f"t{slot}={val}" for slot, val in sorted(tv.items()))
+    if torsion_values:
+        tpart = ";".join(f"t{slot}={val}" for slot, val in sorted(torsion_values.items()))
         return f"ker({kern})[{tpart}]"
     return f"ker({kern})"
 
@@ -393,7 +396,7 @@ def stratum_torsion_decorations(spec: StratumSpec):
     """All torsion-choice maps for the stratum's torsion quotient generators
     with values of multiplicative order <= MAX_TORSION_ORDER (the trivial
     map first)."""
-    d, _, _ = spec._snf()
+    d = spec._d
     slots = [i for i in range(len(d)) if d[i] > 1]
     per_slot = []
     for slot in slots:
@@ -413,23 +416,24 @@ def canonical_root_strata(datum: RootDatum, depth: int):
     """Canonical root-kernel strata up to Weyl conjugacy.
 
     Depth 1 yields the kernels generated by a single root (one per root
-    length); depth 2 adds kernels generated by pairs of roots.  Kernels of
-    full rank (possible only when the pair count reaches the rank) are
-    omitted since they carry no generic element.  Each stratum is keyed by
+    length); depth 2 adds kernels generated by pairs of roots; any other
+    depth raises ValueError.  Kernels of full rank (possible only when the
+    pair count reaches the rank) are omitted since they carry no generic
+    element.  Each stratum is keyed by
     the least Hermite normal form in its W-orbit; every orbit is enumerated
     once, and generator sets whose lattice lies in a finished orbit are
     skipped.  The strata are memoized on the datum per depth, as a tuple.
 
     The p positive roots give p generator sets at depth 1 and p + p(p-1)/2
-    from depth 2; more than MAX_GENERATOR_SETS raises ResourceLimitError
+    at depth 2; more than MAX_GENERATOR_SETS raises ResourceLimitError
     before any is searched.
     """
-    if depth < 1:
-        raise ValueError("stratum depth must be >= 1")
+    if depth not in (1, 2):
+        raise ValueError(f"stratum depth must be 1 or 2, got {depth}")
     strata = datum._strata.get(depth)
     if strata is None:
         p = len(datum.positive_root_coords)
-        sets = p + (p * (p - 1) // 2 if depth >= 2 else 0)
+        sets = p + (p * (p - 1) // 2 if depth == 2 else 0)
         if sets > MAX_GENERATOR_SETS:
             raise ResourceLimitError(
                 f"{datum.name} has {sets} root generator sets at stratum depth {depth}, "
@@ -462,12 +466,9 @@ def _root_strata(datum, depth):
             frontier = new
         return seen
 
-    generators = []
-    if depth >= 1:
-        generators.extend([r] for r in pos)
-    if depth >= 2:
-        for a, b in itertools.combinations(pos, 2):
-            generators.append([a, b])
+    generators = [[r] for r in pos]
+    if depth == 2:
+        generators.extend(itertools.combinations(pos, 2))
     done = set()
     canon = []
     for gens in generators:

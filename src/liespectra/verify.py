@@ -61,7 +61,7 @@ class VerificationReport(Record):
     def __init__(self, check_id: str, status: str, cases: list = None, elapsed: float = 0.0,
                  notes: tuple = ()):
         self.check_id = check_id
-        self.status = status  # Pass | Fail | Skipped
+        self.status = status  # Pass | Fail
         self.cases = [] if cases is None else cases
         self.elapsed = elapsed
         self.notes = notes
@@ -84,11 +84,7 @@ class _Recorder:
         self.start = time.perf_counter()
 
     def case(self, label, expected, actual):
-        ok = expected == actual
-        self.cases.append(
-            {"label": label, "expected": str(expected), "actual": str(actual), "ok": ok}
-        )
-        return ok
+        return self.check(label, expected == actual, expected, actual)
 
     def check(self, label, condition, expected="True", actual=None):
         self.cases.append(
@@ -101,14 +97,10 @@ class _Recorder:
         )
         return bool(condition)
 
-    def report(self, skipped=False):
-        if skipped:
-            status = "Skipped"
-        else:
-            status = "Pass" if all(c["ok"] for c in self.cases) else "Fail"
+    def report(self):
         return VerificationReport(
             check_id=self.check_id,
-            status=status,
+            status="Pass" if all(c["ok"] for c in self.cases) else "Fail",
             cases=self.cases,
             elapsed=time.perf_counter() - self.start,
             notes=self.notes,
@@ -384,7 +376,10 @@ def enumerate_modules(datum: RootDatum, dim_bound: int, include_zero=False):
 def sweep_elements(datum: RootDatum, depth: int, seed: int):
     """Deduplicated generic elements of the canonical root-kernel strata up
     to the given depth, with every torsion decoration of order <=
-    MAX_TORSION_ORDER; only non-regular non-central elements are returned."""
+    MAX_TORSION_ORDER.  Each is non-regular, since its kernel holds a root,
+    and non-central: the characters trivial on it have the kernel's rank,
+    below n (a full-rank kernel has no stratum), so they cannot hold the
+    root lattice."""
     out = []
     seen = set()
     for kernel in canonical_root_strata(datum, depth):
@@ -392,8 +387,6 @@ def sweep_elements(datum: RootDatum, depth: int, seed: int):
         for decoration in stratum_torsion_decorations(base):
             spec = StratumSpec(datum, kernel, decoration)
             s = generic_stratum_element(spec, seed)
-            if is_regular(s) or is_central(s):
-                continue
             key = tuple((v.torsion, v.free) for v in s.assignments)
             if key in seen:
                 continue
@@ -635,25 +628,22 @@ def verify_natural_module_regularity(
     return rec.report()
 
 
-def run_check(check, **kw):
-    """Dispatch a named check with keyword options (family, rank, dim_bound,
-    depth, seed, samples)."""
-    if check == "level-table":
-        return verify_level_table(kw["family"], kw["rank"])
+def run_check(check, *, family=None, rank=None, dim_bound=40, depth=2, seed=0, samples=200):
+    """Dispatch a named check.  The options are keyword-only, so an unknown
+    one raises TypeError; every check but ``witnesses`` needs family and
+    rank, and a missing one raises ValueError naming it."""
     if check == "witnesses":
         return verify_witness_elements()
-    if check == "c99":
-        datum = build_root_datum(kw["family"], kw["rank"])
-        return verify_classification_sweep(
-            datum, kw.get("dim_bound", 40), kw.get("depth", 2), kw.get("seed", 0)
-        )
-    if check == "bounds":
-        datum = build_root_datum(kw["family"], kw["rank"])
-        return verify_multiplicity_bounds(
-            datum, kw.get("dim_bound", 40), kw.get("seed", 0), kw.get("depth", 2)
-        )
+    if check not in CHECK_IDS:
+        raise ValueError(f"unknown check {check!r}; valid checks: {', '.join(CHECK_IDS)}")
+    for name, value in (("family", family), ("rank", rank)):
+        if value is None:
+            raise ValueError(f"check {check!r} needs the option {name!r}")
+    if check == "level-table":
+        return verify_level_table(family, rank)
     if check == "natural":
-        return verify_natural_module_regularity(
-            kw["family"], kw["rank"], kw.get("samples", 200), kw.get("seed", 0)
-        )
-    raise ValueError(f"unknown check {check!r}; valid checks: {', '.join(CHECK_IDS)}")
+        return verify_natural_module_regularity(family, rank, samples, seed)
+    datum = build_root_datum(family, rank)
+    if check == "c99":
+        return verify_classification_sweep(datum, dim_bound, depth, seed)
+    return verify_multiplicity_bounds(datum, dim_bound, seed, depth)

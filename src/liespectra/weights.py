@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
-from operator import add, sub
+from operator import add, le, sub
 
 from .exceptions import DatumMismatchError, ResourceLimitError
 from .rootdata import FrozenRecord, RootDatum, Weight
@@ -215,10 +215,19 @@ def weight_level(lam: Weight) -> int:
 
 
 def is_minuscule(lam: Weight) -> bool:
-    """True iff lam is nonzero and of level 1 (single Weyl orbit module)."""
+    """True iff lam is nonzero and of level 1 (single Weyl orbit module).
+
+    A dominant weight below lam is reached from lam by positive-root steps
+    through dominant weights (see ``weight_level``), so lam has level 1 iff
+    no positive root beta leaves lam - beta dominant, i.e. none has every
+    omega-coordinate at most lam's.  No level is computed or memoized.
+    """
     if not lam.is_dominant:
         raise ValueError(f"minuscule test needs a dominant weight, got {lam}")
-    return not lam.is_zero and weight_level(lam) == 1
+    c = lam.coords
+    return not lam.is_zero and not any(
+        all(map(le, beta, c)) for beta in lam.datum.positive_root_coords
+    )
 
 
 def enumerate_dominant_by_sum(datum: RootDatum, height_bound: int):

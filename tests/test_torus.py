@@ -31,7 +31,7 @@ from liespectra import (
 from liespectra.rootdata import RootDatum
 from liespectra.spectra import SpectrumKind, classify
 from liespectra.torus import EpsilonToken, parse_epsilon_shorthand, stratum_torsion_decorations
-from liespectra.verify import sample_torus_element
+from liespectra.verify import sample_torus_element, sweep_elements
 
 
 def val(torsion, free):
@@ -474,3 +474,37 @@ def test_torus_element_round_trips_through_json(s):
     assert back.assignments == s.assignments
     roots = s.datum.positive_root_coords
     assert [back.value_key(r) for r in roots] == [s.value_key(r) for r in roots]
+
+
+@pytest.mark.parametrize("name,calls", [("D4", 13), ("F4", 15), ("G2", 4)])
+def test_a_sweep_runs_one_smith_form_per_kernel_and_per_decorated_spec(name, calls, monkeypatch):
+    datum = parse_group(name)
+    canonical_root_strata(datum, 2)
+    count = 0
+    snf = torus_module.smith_normal_form
+
+    def counting(rows):
+        nonlocal count
+        count += 1
+        return snf(rows)
+
+    monkeypatch.setattr(torus_module, "smith_normal_form", counting)
+    sweep_elements(datum, 2, 0)
+    assert count == calls
+
+
+STRATA_GROUPS = ([f"A{r}" for r in range(1, 8)] + [f"B{r}" for r in range(2, 7)]
+                 + [f"C{r}" for r in range(2, 7)] + [f"D{r}" for r in range(4, 8)]
+                 + ["E6", "E7", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", STRATA_GROUPS)
+def test_every_decorated_stratum_element_is_non_regular_and_non_central(name):
+    # sweep_elements keeps every element without testing it: its kernel
+    # holds a root, and has rank below n, so it cannot hold the root lattice.
+    datum = parse_group(name)
+    for depth in (1, 2):
+        for kernel in canonical_root_strata(datum, depth):
+            for decoration in stratum_torsion_decorations(StratumSpec(datum, kernel)):
+                s = generic_stratum_element(StratumSpec(datum, kernel, decoration))
+                assert not is_regular(s) and not is_central(s), s.label

@@ -126,6 +126,27 @@ def test_run_check_dispatch_and_errors():
         run_check("nonsense")
 
 
+def test_run_check_rejects_an_unknown_option():
+    # A misspelt option must not run the check at its default.
+    with pytest.raises(TypeError, match="dimbound"):
+        run_check("c99", family="A", rank=3, dimbound=10)
+
+
+@pytest.mark.parametrize("check", ["level-table", "c99", "bounds", "natural"])
+@pytest.mark.parametrize("missing", ["family", "rank"])
+def test_run_check_names_a_missing_option(check, missing):
+    options = {"family": "A", "rank": 3}
+    del options[missing]
+    with pytest.raises(ValueError, match=f"needs the option '{missing}'"):
+        run_check(check, **options)
+
+
+@pytest.mark.parametrize("check", ["c99", "bounds"])
+def test_run_check_rejects_a_stratum_depth_other_than_one_or_two(check):
+    with pytest.raises(ValueError, match="stratum depth must be 1 or 2, got 3"):
+        run_check(check, family="A", rank=3, dim_bound=10, depth=3)
+
+
 def test_deeper_sweeps_only_add_permitted_witnesses():
     # Depth 2 never contradicts depth 1: the almost-simple module set grows
     # monotonically and stays inside the permitted list.

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracle_helpers as oh
+import liespectra.weights as weights_module
 from liespectra import (
     DatumMismatchError,
     ResourceLimitError,
@@ -20,6 +21,7 @@ from liespectra import (
 )
 from liespectra.weights import Dominance, enumerate_dominant_by_sum, orbit_size
 from liespectra.mult import premet_weight_set
+from liespectra.rootdata import RootDatum
 
 
 def coords_set(weights):
@@ -238,6 +240,28 @@ def test_is_minuscule():
     # Minuscule means the orbit is the whole weight set.
     w5 = d5.fundamental_weight(5)
     assert {w.coords for w in weyl_orbit(w5)} == premet_weight_set(w5)
+
+
+MINUSCULE_GROUPS = ([f"A{r}" for r in range(1, 7)] + [f"B{r}" for r in range(2, 7)]
+                    + [f"C{r}" for r in range(3, 7)] + ["D4", "D5", "D6", "E6", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", MINUSCULE_GROUPS)
+def test_is_minuscule_agrees_with_level_one(name):
+    datum = parse_group(name)
+    for lam in enumerate_dominant_by_sum(datum, 3):
+        assert is_minuscule(lam) == (not lam.is_zero and weight_level(lam) == 1), lam
+
+
+def test_is_minuscule_computes_no_level(monkeypatch):
+    def fail(lam):
+        raise AssertionError("weight_level was called")
+
+    monkeypatch.setattr(weights_module, "weight_level", fail)
+    e8 = RootDatum("E", 8)
+    assert not is_minuscule(e8.weight((1,) * 8))
+    assert is_minuscule(parse_group("E7").fundamental_weight(7))
+    assert not e8._levels
 
 
 def test_level_sets_examples():
