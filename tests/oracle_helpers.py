@@ -4,8 +4,9 @@ These deliberately avoid the library's production code paths: dominance is
 decided by Fraction-valued Gaussian elimination, weight sets by the
 simple-root downward closure over all intermediate weights, multiplicities
 by the alternating Kostant partition-function sum over the full Weyl group,
-characters by summing Fractions over the fundamental weights, root data
-from the Bourbaki epsilon-realizations and a Fraction Gram inverse.
+characters by summing Fractions over the fundamental weights, Kronecker
+products by adding values pairwise in the value group, root data from the
+Bourbaki epsilon-realizations and a Fraction Gram inverse.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from liespectra.linalg import hermite_normal_form
+from liespectra.spectra import Spectrum
 from liespectra.torus import ValueGroupElement
 
 
@@ -173,6 +175,19 @@ def evaluate_oracle(s, mu):
             for j in range(k):
                 free[j] += c * v.free[j]
     return ValueGroupElement(t % 1, tuple(free))
+
+
+def tensor_spectrum_oracle(sp1, sp2):
+    """Spectrum of the Kronecker product, pair by pair: every two values are
+    added by ``ValueGroupElement.__add__`` (torsion as Fractions mod 1; it
+    raises ValueError on different free ranks), and ``Spectrum.from_dict``
+    sorts the sums by ``sort_key``."""
+    acc = {}
+    for v1, m1 in sp1.entries:
+        for v2, m2 in sp2.entries:
+            v = v1 + v2
+            acc[v] = acc.get(v, 0) + m1 * m2
+    return Spectrum.from_dict(acc)
 
 
 def reflect(datum, coords, i):

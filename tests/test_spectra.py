@@ -303,6 +303,44 @@ def test_tensor_spectrum_is_commutative_and_associative(a, b, c):
     assert left.total == a.total * b.total * c.total
 
 
+@st.composite
+def value_spectra(draw, k):
+    """Up to 5 values of free rank k (0 values: the empty spectrum), with
+    torsion denominators 1-12 or 997 and multiplicities 1-3."""
+    values = {}
+    for _ in range(draw(st.integers(0, 5))):
+        den = draw(st.one_of(st.integers(1, 12), st.just(997)))
+        v = ValueGroupElement(Fraction(draw(st.integers(0, den - 1)), den),
+                              tuple(draw(st.integers(-3, 3)) for _ in range(k)))
+        values[v] = draw(st.integers(1, 3))
+    return Spectrum.from_dict(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda k: st.tuples(value_spectra(k), value_spectra(k))))
+def test_tensor_spectrum_matches_the_pairwise_oracle(pair):
+    a, b = pair
+    got = tensor_spectrum(a, b)
+    assert got.entries == oh.tensor_spectrum_oracle(a, b).entries
+    assert all(type(v.torsion) is Fraction and 0 <= v.torsion < 1 for v, _ in got.entries)
+
+
+@pytest.mark.parametrize("free1,free2", [((1,), (1, 0)), ((), (1,)), ((1, 0, 0), (0, 1))])
+def test_tensor_spectrum_rejects_values_of_different_free_ranks(free1, free2):
+    # A convolution that zips free tuples would truncate the longer one.
+    one, two = Spectrum.from_dict({val(0, free1): 1}), Spectrum.from_dict({val(0, free2): 1})
+    with pytest.raises(ValueError, match="different ambient contexts"):
+        tensor_spectrum(one, two)
+    with pytest.raises(ValueError, match="different ambient contexts"):
+        tensor_spectrum(two, one)
+    # Within one spectrum too, whatever the other holds.
+    mixed = Spectrum.from_dict({val(0, free1): 1, val("1/2", free2): 2})
+    with pytest.raises(ValueError, match="different ambient contexts"):
+        tensor_spectrum(mixed, one)
+    # The empty spectrum has no values, so it pairs with any free rank.
+    assert tensor_spectrum(Spectrum.from_dict({}), mixed).entries == ()
+
+
 def _random_spectrum(rng, symmetric=False):
     k = 2
     values = set()
