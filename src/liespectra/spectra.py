@@ -6,12 +6,13 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from itertools import compress, islice
+from math import lcm
 from operator import add, itemgetter
 
 from .exceptions import DatumMismatchError
 from .mult import DEFAULT_DIM_BOUND, WeightMultiset, freudenthal_multiplicities
 from .rootdata import FrozenRecord, Weight
-from .torus import TorusElement, ValueGroupElement
+from .torus import TorusElement, ValueGroupElement, _fraction
 
 
 class SpectrumKind(enum.Enum):
@@ -120,17 +121,13 @@ def residue_counts(s: TorusElement, multiset: WeightMultiset):
 def spectrum_of_multiset(s: TorusElement, multiset: WeightMultiset) -> Spectrum:
     """Spectrum of s on the weights of the multiset.
 
-    The values are counted on residues (``residue_counts``), and each
-    distinct residue is decoded once into its value key.  The result equals
-    ``Spectrum.from_dict`` of the sum of ``evaluate`` over the weights.
+    The values are counted on residues (``residue_counts``), and
+    ``TorusElement.decode`` sorts the residues as integers and decodes each
+    distinct one once.  The result equals ``Spectrum.from_dict`` of the sum
+    of ``evaluate`` over the weights.
     """
     b, counts = residue_counts(s, multiset)
-    # The keys sort in the canonical value order.  The list is built first
-    # because tuple() over a generator grows by reallocation, which left the
-    # heap measurably larger over many calls.
-    items = sorted(zip(s.unpack(counts, b), counts.values()))
-    out = tuple([(s.key_value(key), m) for key, m in items])
-    return Spectrum(out, (s.label, multiset.label), multiset.validity)
+    return Spectrum(tuple(s.decode(counts, b)), (s.label, multiset.label), multiset.validity)
 
 
 def _spectrum_class(heavy, max_mult) -> SpectrumClass:
@@ -159,7 +156,8 @@ def classify_multiset(s: TorusElement, multiset: WeightMultiset) -> SpectrumClas
     b, counts = residue_counts(s, multiset)
     heavy = list(islice(compress(counts, map((1).__lt__, counts.values())), 2))
     if len(heavy) == 1:
-        heavy = [s.key_value(s.unpack(heavy, b)[0])]
+        (r,) = heavy
+        heavy = [s.decode({r: counts[r]}, b)[0][0]]
     return _spectrum_class(heavy, max(counts.values(), default=0))
 
 
@@ -170,13 +168,33 @@ def is_almost_simple(sp: Spectrum) -> bool:
 
 def tensor_spectrum(sp1: Spectrum, sp2: Spectrum) -> Spectrum:
     """Spectrum of a Kronecker product: convolution of the two value
-    multisets (values add in the value group, multiplicities multiply)."""
+    multisets (values add in the value group, multiplicities multiply).
+
+    Both spectra are put over the least common denominator D of their
+    torsions, and the integer keys (t mod D, free) of the sums are
+    convolved in a dict.  The keys sort in the canonical value order (t / D
+    orders as t does), and each distinct sum becomes a value once.  Values
+    of different free ranks raise ValueError, as their sum does.
+    """
+    e1, e2 = sp1.entries, sp2.entries
     acc = {}
-    for v1, m1 in sp1.entries:
-        for v2, m2 in sp2.entries:
-            v = v1 + v2
-            acc[v] = acc.get(v, 0) + m1 * m2
+    denom = 1
+    if e1 and e2:
+        values = [v for v, _ in e1 + e2]
+        if len({len(v.free) for v in values}) > 1:
+            raise ValueError("value-group elements from different ambient contexts")
+        denom = lcm(*{v.torsion.denominator for v in values})
+        keys2 = [(v.torsion.numerator * (denom // v.torsion.denominator), v.free, m)
+                 for v, m in e2]
+        get = acc.get
+        for v1, m1 in e1:
+            t1, f1 = v1.torsion.numerator * (denom // v1.torsion.denominator), v1.free
+            for t2, f2, m2 in keys2:
+                key = ((t1 + t2) % denom, tuple(map(add, f1, f2)))
+                acc[key] = get(key, 0) + m1 * m2
+    entries = tuple([(ValueGroupElement(_fraction(t, denom), free), acc[t, free])
+                     for t, free in sorted(acc)])
     label = f"({sp1.source[0]})x({sp2.source[0]})"
     weightpart = f"{sp1.source[1]}x{sp2.source[1]}"
     validity = sp1.validity or sp2.validity
-    return Spectrum.from_dict(acc, source=(label, weightpart), validity=validity)
+    return Spectrum(entries, (label, weightpart), validity)

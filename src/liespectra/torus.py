@@ -140,7 +140,7 @@ class TorusElement(FrozenRecord):
     (0 <= t_i < D) and free part f_i, and the character c has the value key
     (sum c_i t_i mod D, sum c_i f_i).
 
-    Many characters at once are evaluated packed (``packing``/``unpack``).
+    Many characters at once are evaluated packed (``packing``/``decode``).
     With k free generators, omega_i is packed as
     P_i = t_i B^k + sum_j f_ij B^(k-1-j): the torsion is the top digit and
     the free exponents are balanced base-B digits below it, f_i0 highest.
@@ -156,10 +156,15 @@ class TorusElement(FrozenRecord):
     * y's top digit (y >> bk) is T mod D, and its k digits below, read in
       plain base B, are F_j + B/2;
     * so r determines (T mod D, F), and (T mod D, F) determines L and
-      then r.
+      then r;
+    * every digit of y lies in [0, B), so y orders as its digit tuple
+      (T mod D, F_0 + B/2, ..., F_(k-1) + B/2) does, lexicographically: the
+      integer order of the shifted residues is the canonical value order
+      (T mod D, then F; t / D orders as t does).
 
     So two characters have the same value iff their packed sums have the
-    same residue."""
+    same residue, and the values of many residues are put in order by
+    sorting integers."""
 
     _fields = ("datum", "assignments", "label", "gen_names", "gen_denoms")
     __slots__ = _fields + ("_denom", "_tcol", "_fcols", "_digit_bound", "identity_key")
@@ -231,19 +236,26 @@ class TorusElement(FrozenRecord):
             packed.append(p)
         return b, packed, self._denom << (b * len(self._fcols))
 
-    def unpack(self, residues, b):
-        """Value keys of residues r = x mod M of packed sums x = sum c_i P_i
-        (``packing`` with base 2^b), in order.  Each r is shifted to
-        y = (r + H) mod M, whose digits are read one pass over the list per
-        digit."""
+    def decode(self, counts, b):
+        """[(value, m), ...] in canonical value order, for counts {r: m}
+        keyed by residues r = x mod M of packed sums x = sum c_i P_i
+        (``packing`` with base 2^b).  Each r is shifted to y = (r + H) mod M,
+        and the (y, m) pairs are sorted by y as integers (the canonical
+        order, see the class docstring).  Each y is decoded once: its top
+        digit is the torsion numerator over D, and its free digits are read
+        one pass over the list per digit."""
         k = len(self._fcols)
+        bk = b * k
         mask, half = (1 << b) - 1, 1 << (b - 1)
-        offset = half * ((1 << (b * k)) - 1) // mask  # H = sum_j (B/2) B^j
-        modulus = self._denom << (b * k)
-        ys = [(r + offset) % modulus for r in residues]
-        torsion = [y >> (b * k) for y in ys]
-        free = [[((y >> (b * j)) & mask) - half for y in ys] for j in reversed(range(k))]
-        return list(zip(torsion, zip(*free) if free else itertools.repeat((), len(torsion))))
+        offset = half * ((1 << bk) - 1) // mask  # H = sum_j (B/2) B^j
+        modulus = self._denom << bk
+        items = sorted([((r + offset) % modulus, m) for r, m in counts.items()])
+        free = [[((y >> (b * j)) & mask) - half for y, _ in items] for j in reversed(range(k))]
+        denom = self._denom
+        return [
+            (ValueGroupElement(_fraction(y >> bk, denom), f), m)
+            for (y, m), f in zip(items, zip(*free) if free else itertools.repeat(()))
+        ]
 
     def render_value(self, v):
         return v.render(self.gen_names, self.gen_denoms)

@@ -240,6 +240,39 @@ def test_the_module_path_builds_no_weight_per_weight(monkeypatch):
     assert made[0] == made[1] <= 2
 
 
+def test_spectrum_arithmetic_builds_each_output_value_once(monkeypatch):
+    # Values are decoded from integer keys: spectrum_of_multiset builds one
+    # ValueGroupElement per entry, classify_multiset one for its heavy value,
+    # and tensor_spectrum one per distinct sum, not one per pair, with no
+    # Fraction arithmetic.  Torsion 1/2000 on A1 [1000] merges the weights
+    # +-1000 only, so 1001 weights give 1000 values.
+    multiset = _packing_multiset("A1", (1000,))
+    s = torus_element(multiset.highest.datum, [(Fraction(1, 2000), (0,))])
+    one = Spectrum.from_dict({val(0, (1,)): 1, val(0, (-1,)): 1, val("1/2", (0,)): 2})
+    expected = oh.tensor_spectrum_oracle(one, one)
+    init, made = ValueGroupElement.__init__, [0]
+
+    def counting_init(self, torsion, free):
+        made[0] += 1
+        init(self, torsion, free)
+
+    def no_fraction_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic in tensor_spectrum")
+
+    monkeypatch.setattr(ValueGroupElement, "__init__", counting_init)
+    sp = spectrum_of_multiset(s, multiset)
+    assert made[0] == len(sp.entries) == 1000
+    made[0] = 0
+    assert classify_multiset(s, multiset).kind is SpectrumKind.ALMOST_SIMPLE
+    assert made[0] == 1
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mod__"):
+        monkeypatch.setattr(Fraction, name, no_fraction_arithmetic)
+    made[0] = 0
+    t = tensor_spectrum(one, one)
+    assert t.entries == expected.entries
+    assert made[0] == len(t.entries) == 5 and len(one.entries) ** 2 == 9
+
+
 def test_spectrum_total_is_module_dimension():
     b3 = build_root_datum("B", 3)
     s = torus_from_epsilon_text(b3, "a,a,b")
