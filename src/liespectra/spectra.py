@@ -177,21 +177,18 @@ def tensor_spectrum(sp1: Spectrum, sp2: Spectrum) -> Spectrum:
     of different free ranks raise ValueError, as their sum does.
     """
     e1, e2 = sp1.entries, sp2.entries
+    values = [v for v, _ in e1 + e2]
+    if e1 and e2 and len({len(v.free) for v in values}) > 1:
+        raise ValueError("value-group elements from different ambient contexts")
+    denom = lcm(*{v.torsion.denominator for v in values})
+    keys2 = [(v.torsion.numerator * (denom // v.torsion.denominator), v.free, m) for v, m in e2]
     acc = {}
-    denom = 1
-    if e1 and e2:
-        values = [v for v, _ in e1 + e2]
-        if len({len(v.free) for v in values}) > 1:
-            raise ValueError("value-group elements from different ambient contexts")
-        denom = lcm(*{v.torsion.denominator for v in values})
-        keys2 = [(v.torsion.numerator * (denom // v.torsion.denominator), v.free, m)
-                 for v, m in e2]
-        get = acc.get
-        for v1, m1 in e1:
-            t1, f1 = v1.torsion.numerator * (denom // v1.torsion.denominator), v1.free
-            for t2, f2, m2 in keys2:
-                key = ((t1 + t2) % denom, tuple(map(add, f1, f2)))
-                acc[key] = get(key, 0) + m1 * m2
+    get = acc.get
+    for v1, m1 in e1:
+        t1, f1 = v1.torsion.numerator * (denom // v1.torsion.denominator), v1.free
+        for t2, f2, m2 in keys2:
+            key = ((t1 + t2) % denom, tuple(map(add, f1, f2)))
+            acc[key] = get(key, 0) + m1 * m2
     entries = tuple([(ValueGroupElement(_fraction(t, denom), free), acc[t, free])
                      for t, free in sorted(acc)])
     label = f"({sp1.source[0]})x({sp2.source[0]})"
