@@ -181,11 +181,11 @@ def tensor_spectrum(sp1: Spectrum, sp2: Spectrum) -> Spectrum:
     if e1 and e2 and len({len(v.free) for v in values}) > 1:
         raise ValueError("value-group elements from different ambient contexts")
     denom = lcm(*{v.torsion.denominator for v in values})
-    keys2 = [(v.torsion.numerator * (denom // v.torsion.denominator), v.free, m) for v, m in e2]
+    keys1, keys2 = [[(v.torsion.numerator * (denom // v.torsion.denominator), v.free, m)
+                     for v, m in entries] for entries in (e1, e2)]
     acc = {}
     get = acc.get
-    for v1, m1 in e1:
-        t1, f1 = v1.torsion.numerator * (denom // v1.torsion.denominator), v1.free
+    for t1, f1, m1 in keys1:
         for t2, f2, m2 in keys2:
             key = ((t1 + t2) % denom, tuple(map(add, f1, f2)))
             acc[key] = get(key, 0) + m1 * m2
