@@ -228,6 +228,11 @@ class RootDatum:
         self.positive_roots = tuple(Weight(coords, self) for coords in self.positive_root_coords)
         self.root_half_lengths = tuple(half for _, _, half in roots)
         self.positive_root_heights = tuple(sum(cf) for cf, _, _ in roots)
+        # Root batches for TorusElement.residues (columns[i][r] is coordinate
+        # i of root r) and their largest |coordinate|, 3 for G2, else 2.
+        self.positive_root_columns = tuple(zip(*self.positive_root_coords))
+        self.simple_root_columns = tuple(zip(*self.simple_root_coords))
+        self.root_coordinate_bound = max(max(map(abs, c)) for c in self.positive_root_columns)
 
         # The highest root is the unique root of greatest height, and the
         # highest short root the unique short root of greatest height

@@ -89,26 +89,22 @@ def spectrum(s: TorusElement, lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -
 
 def residue_counts(s: TorusElement, multiset: WeightMultiset):
     """(b, counts): counts maps each residue r = x mod M of a packed sum
-    x = sum c_i P_i (``TorusElement.packing`` with base 2^b) to the total
+    x = sum c_i P_i (``TorusElement.residues`` with base 2^b) to the total
     multiplicity of the weights c that give it.
 
     By the residue layout of ``TorusElement``, two weights have the same
     value at s iff their residues are equal, so counts is the spectrum with
     undecoded keys.  The base is proven from the multiset's largest
-    |coordinate|.  Each multiplicity group is evaluated column by column and
-    reduced mod M in ``map`` passes; the weights of multiplicity 1 are
-    counted by ``Counter``, the others add their multiplicity.
+    |coordinate|, and each multiplicity group is one batch of columns; the
+    weights of multiplicity 1 are counted by ``Counter``, the others add
+    their multiplicity.
     """
     if multiset.highest.datum is not s.datum:
         raise DatumMismatchError("weight bound to a different datum than the torus element")
     groups = multiset.columns_by_multiplicity
-    b, packed, modulus = s.packing(multiset.max_abs_coordinate)
+    b, batches = s.residues(multiset.max_abs_coordinate, *(columns for _, columns in groups))
     counts = Counter()
-    for m, columns in groups:
-        xs = map(packed[0].__mul__, columns[0])
-        for p, column in zip(packed[1:], columns[1:]):
-            xs = map(add, xs, map(p.__mul__, column))
-        residues = map(modulus.__rmod__, xs)
+    for (m, _), residues in zip(groups, batches):
         if m == 1:
             counts.update(residues)
         else:

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import add
 
 from .exceptions import DatumMismatchError, ResourceLimitError, UnsupportedRootSystemError
 from .linalg import hermite_normal_form, smith_normal_form
@@ -135,20 +135,16 @@ class TorusElement(FrozenRecord):
     """Homomorphism from the weight lattice into the value group, given by
     one value per fundamental weight.
 
-    Characters are evaluated in integers, on columns built once: with D the
-    least common denominator of the torsions, omega_i has torsion t_i / D
-    (0 <= t_i < D) and free part f_i, and the character c has the value key
-    (sum c_i t_i mod D, sum c_i f_i).
-
-    Many characters at once are evaluated packed (``packing``/``decode``).
-    With k free generators, omega_i is packed as
-    P_i = t_i B^k + sum_j f_ij B^(k-1-j): the torsion is the top digit and
-    the free exponents are balanced base-B digits below it, f_i0 highest.
-    The character c gives x = sum c_i P_i = T B^k + L, with T = sum c_i t_i
-    and L = sum_j F_j B^(k-1-j), F_j = sum_i c_i f_ij.  If every |F_j| is
-    below B/2 (``packing`` proves it), L lies in [-H, B^k - H) with
-    H = sum_j (B/2) B^j, and the residue r = x mod M, M = D B^k, carries
-    exactly the value of c:
+    Every character question is answered in integers, on residues.  With
+    D the least common denominator of the torsions, omega_i has torsion
+    t_i / D (0 <= t_i < D) and free part f_i.  With k free generators,
+    omega_i is packed as P_i = t_i B^k + sum_j f_ij B^(k-1-j): the torsion
+    is the top digit and the free exponents are balanced base-B digits
+    below it, f_i0 highest.  The character c gives x = sum c_i P_i =
+    T B^k + L, with T = sum c_i t_i and L = sum_j F_j B^(k-1-j),
+    F_j = sum_i c_i f_ij.  If every |F_j| is below B/2 (``residues`` proves
+    it), L lies in [-H, B^k - H) with H = sum_j (B/2) B^j, and the residue
+    r = x mod M, M = D B^k, carries exactly the value of c:
 
     * r = (T mod D) B^k + L (mod M), and (T mod D) B^k + L lies in
       [-H, M - H), a window of M consecutive integers, so
@@ -163,11 +159,15 @@ class TorusElement(FrozenRecord):
       (T mod D, then F; t / D orders as t does).
 
     So two characters have the same value iff their packed sums have the
-    same residue, and the values of many residues are put in order by
-    sorting integers."""
+    same residue, a residue is 0 exactly when the character is trivial at
+    s, and the values of many residues are put in order by sorting
+    integers (``decode``).  Regularity and centrality read the residues of
+    the datum's root columns, whose coordinate bound c (3 for G2, else 2)
+    is ``RootDatum.root_coordinate_bound``; spectra take c from the
+    module's weights."""
 
     _fields = ("datum", "assignments", "label", "gen_names", "gen_denoms")
-    __slots__ = _fields + ("_denom", "_tcol", "_fcols", "_digit_bound", "identity_key")
+    __slots__ = _fields + ("_denom", "_tcol", "_fcols", "_digit_bound")
 
     def __init__(self, datum: RootDatum, assignments: tuple, label: str = "",
                  gen_names: tuple = None, gen_denoms: tuple = None):
@@ -193,53 +193,43 @@ class TorusElement(FrozenRecord):
             for v in assignments
         ))
         _set_fcols(self, tuple(zip(*(v.free for v in assignments))))
-        # Every free digit of a term c_i P_i has size <= |c_i| max |f_ij|.
-        _set_digit_bound(self, max(
-            (abs(x) for v in assignments for x in v.free), default=0
-        ))
-        _set_identity_key(self, (0, (0,) * k))
+        # |F_j| <= c sum_i |f_ij| for coordinates in [-c, c].
+        _set_digit_bound(self, max((sum(map(abs, col)) for col in self._fcols), default=0))
 
     @property
     def free_rank(self):
         return len(self.assignments[0].free) if self.assignments else 0
 
-    def value_key(self, coords):
-        """Integer key of the value of the character with these
-        omega-coordinates.  Keys sort in the canonical value order (t / D
-        orders as t does), and ``key_value`` turns a key into its value."""
-        return (
-            sum(map(mul, coords, self._tcol)) % self._denom,
-            tuple([sum(map(mul, coords, col)) for col in self._fcols]),
-        )
+    def residues(self, c, *batches):
+        """(b, [residues, ...]): per batch of omega-coordinate columns
+        (columns[i][w] is coordinate i of character w, each in [-c, c]), an
+        iterator over the residues x mod M of the packed sums
+        x = sum_i c_i P_i in base B = 2^b; 0 means the character is trivial.
 
-    def key_value(self, key):
-        t, free = key
-        return ValueGroupElement(_fraction(t, self._denom), free)
-
-    def packing(self, c):
-        """(b, P, M) for characters whose coordinates lie in [-c, c].
-
-        Each free digit F_j of sum c_i P_i is a sum of n terms of size at
-        most c * max |f_ij|, so |F_j| < h = n c max |f_ij| + 1, and the base
-        B = 2^b > 2h holds it as a balanced digit in [-B/2, B/2).  The
-        torsion digit needs no bound: it is reduced mod D by taking the
-        residue mod M = D B^k (see the class docstring).  P_i is built by
-        shifts and adds, most significant first.
+        Each free digit has |F_j| <= c sum_i |f_ij| < h, with
+        h = c max_j sum_i |f_ij| + 1, and B > 2h holds it as a balanced
+        digit in [-B/2, B/2); the torsion digit is reduced mod D by the
+        residue mod M = D B^k.  P is built once per call, by Horner's rule.
         """
-        h = self.datum.rank * c * self._digit_bound + 1
-        b = (2 * h).bit_length()
-        packed = []
-        for t, free in zip(self._tcol, (v.free for v in self.assignments)):
-            p = t
-            for f in free:
-                p = (p << b) + f
-            packed.append(p)
-        return b, packed, self._denom << (b * len(self._fcols))
+        b = (2 * (c * self._digit_bound + 1)).bit_length()
+        base = 1 << b
+        packed = self._tcol
+        for column in self._fcols:
+            packed = map(add, map(base.__mul__, packed), column)
+        first, *rest = packed
+        modulus = self._denom << (b * len(self._fcols))
+        out = []
+        for columns in batches:
+            xs = map(first.__mul__, columns[0])
+            for p, column in zip(rest, columns[1:]):
+                xs = map(add, xs, map(p.__mul__, column))
+            out.append(map(modulus.__rmod__, xs))
+        return b, out
 
     def decode(self, counts, b):
         """[(value, m), ...] in canonical value order, for counts {r: m}
         keyed by residues r = x mod M of packed sums x = sum c_i P_i
-        (``packing`` with base 2^b).  Each r is shifted to y = (r + H) mod M,
+        (``residues`` with base 2^b).  Each r is shifted to y = (r + H) mod M,
         and the (y, m) pairs are sorted by y as integers (the canonical
         order, see the class docstring).  Each y is decoded once: its top
         digit is the torsion numerator over D, and its free digits are read
@@ -273,7 +263,6 @@ _set_denom = TorusElement._denom.__set__
 _set_tcol = TorusElement._tcol.__set__
 _set_fcols = TorusElement._fcols.__set__
 _set_digit_bound = TorusElement._digit_bound.__set__
-_set_identity_key = TorusElement.identity_key.__set__
 
 
 def torus_element(datum: RootDatum, assignments, label="", gen_names=None, gen_denoms=None):
@@ -284,27 +273,40 @@ def torus_element(datum: RootDatum, assignments, label="", gen_names=None, gen_d
     return TorusElement(datum, vals, label, gen_names, gen_denoms)
 
 
-def evaluate(s: TorusElement, mu: Weight) -> ValueGroupElement:
-    """Value of the character mu at s (Z-linear in mu)."""
-    if mu.datum is not s.datum:
+def _weight_residues(s: TorusElement, weights):
+    """(b, residues) of a collection of weights at s; a weight bound to
+    another datum raises DatumMismatchError."""
+    if any(w.datum is not s.datum for w in weights):
         raise DatumMismatchError("weight bound to a different datum than the torus element")
-    return s.key_value(s.value_key(mu.coords))
+    columns = tuple(zip(*(w.coords for w in weights))) or ((),) * s.datum.rank
+    b, (residues,) = s.residues(max(map(abs, itertools.chain(*columns)), default=0), columns)
+    return b, residues
+
+
+def evaluate(s: TorusElement, mu: Weight) -> ValueGroupElement:
+    """Value of the character mu at s (Z-linear in mu): its residue,
+    decoded."""
+    b, residues = _weight_residues(s, (mu,))
+    return s.decode(dict.fromkeys(residues, 1), b)[0][0]
 
 
 def is_regular(s: TorusElement) -> bool:
-    """True iff no root evaluates to the identity at s."""
-    return s.identity_key not in map(s.value_key, s.datum.positive_root_coords)
+    """True iff no root is trivial at s: no positive-root residue is 0."""
+    _, (residues,) = s.residues(s.datum.root_coordinate_bound, s.datum.positive_root_columns)
+    return 0 not in residues
 
 
 def is_central(s: TorusElement) -> bool:
-    """True iff every simple root evaluates to the identity at s."""
-    return all(s.value_key(a) == s.identity_key for a in s.datum.simple_root_coords)
+    """True iff every simple root is trivial at s: every residue is 0."""
+    _, (residues,) = s.residues(s.datum.root_coordinate_bound, s.datum.simple_root_columns)
+    return not any(residues)
 
 
 def separates_weights(s: TorusElement, weight_set) -> bool:
-    """True iff evaluation at s is injective on the given set of weights."""
+    """True iff evaluation at s is injective on the given set of weights:
+    their residues are distinct."""
     weights = set(weight_set)
-    return len({evaluate(s, w) for w in weights}) == len(weights)
+    return len(set(_weight_residues(s, weights)[1])) == len(weights)
 
 
 # -- strata -------------------------------------------------------------------

@@ -27,10 +27,13 @@ from liespectra import (
     torus_from_epsilon,
     torus_from_epsilon_text,
     torus_from_json,
+    weyl_dimension,
 )
 from liespectra.rootdata import RootDatum
 from liespectra.spectra import SpectrumKind, classify
-from liespectra.torus import EpsilonToken, parse_epsilon_shorthand, stratum_torsion_decorations
+from liespectra.torus import (
+    EpsilonToken, TorusElement, parse_epsilon_shorthand, stratum_torsion_decorations,
+)
 from liespectra.verify import sample_torus_element, sweep_elements
 
 
@@ -151,24 +154,61 @@ def test_generic_regular_element_separates_everything():
     assert separates_weights(s, weight_set(a2.weight((2, 2))))
 
 
-def _oracle_elements(datum, rng):
-    """Battery draws, plus the identity and torsion-only elements (free rank
-    0) and, for B and D, an epsilon element whose symbols are squares of the
-    internal generators (gen_denoms 2)."""
-    elements = [sample_torus_element(datum, rng) for _ in range(30)]
+ALL_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
+             + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(4, 9)]
+             + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def _pushed_forward(s, rng, k):
+    """s followed by a homomorphism of the value group that keeps the
+    torsion and sends each free generator of s to a random value with
+    torsion denominator up to 997 and k free exponents in [-50, 50]: every
+    character trivial at s stays trivial, and the free rank becomes k."""
+    images = []
+    for _ in range(s.free_rank):
+        den = rng.randint(1, 997)
+        images.append((Fraction(rng.randrange(den), den),
+                       [rng.randint(-50, 50) for _ in range(k)]))
+    return torus_element(s.datum, [
+        (v.torsion + sum(x * t for x, (t, _) in zip(v.free, images)),
+         tuple(sum(x * f[j] for x, (_, f) in zip(v.free, images)) for j in range(k)))
+        for v in s.assignments
+    ])
+
+
+def _oracle_elements(datum, rng, draws):
+    """Battery draws, the identity and torsion-only elements (free rank 0),
+    for B and D an epsilon element whose symbols are squares of the
+    internal generators (gen_denoms 2), and elements with torsion
+    denominators up to 997 and free exponents up to 50 in size at free
+    ranks 0 and 3: drawn directly (mostly regular), and pushed forward from
+    root-kernel stratum elements (never regular)."""
+    elements = [sample_torus_element(datum, rng) for _ in range(draws)]
     elements.append(torus_element(datum, [(0, ())] * datum.rank))
-    for _ in range(10):
+    for _ in range(draws // 3):
         elements.append(torus_element(
             datum, [(Fraction(rng.randrange(12), rng.choice((1, 2, 3, 4, 6))), ())
                     for _ in range(datum.rank)],
         ))
     if datum.family in "BD":
-        elements.append(torus_from_epsilon_text(datum, {"B": "-1,a,1/a^3", "D": "i,-a,b,-1/b"}[
-            datum.family]))
+        tokens = {"B": ["-1", "a", "1/a^3"], "D": ["i", "-a", "b", "-1/b"]}[datum.family]
+        tokens = (tokens + ["1"] * datum.rank)[:datum.rank]  # cut or padded to the rank
+        elements.append(torus_from_epsilon_text(datum, ",".join(tokens)))
+    strata = canonical_root_strata(datum, 1)  # empty on A1 only
+    for k in (0, 3):
+        dens = [rng.randint(1, 997) for _ in range(datum.rank)]
+        elements.append(torus_element(datum, [
+            (Fraction(rng.randrange(den), den), tuple(rng.randint(-50, 50) for _ in range(k)))
+            for den in dens
+        ]))
+        if strata:
+            spec = StratumSpec(datum, rng.choice(strata))
+            elements.append(_pushed_forward(generic_stratum_element(spec, rng.randrange(1 << 30)),
+                                            rng, k))
     return elements
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
+@pytest.mark.parametrize("name", ALL_TYPES)
 def test_character_evaluation_matches_the_fraction_oracle(name):
     datum = parse_group(name)
     rng = random.Random(f"evaluate:{name}")
@@ -178,26 +218,90 @@ def test_character_evaluation_matches_the_fraction_oracle(name):
         + [datum.fundamental_weight(i) for i in range(1, datum.rank + 1)]
         + [datum.weight([rng.randrange(-4, 5) for _ in range(datum.rank)]) for _ in range(20)]
     )
-    weight_sets = [weight_set(datum.fundamental_weight(1)), weight_set(datum.highest_root)]
+    # The weights of the smallest fundamental module (the natural one on
+    # A3, B3, C3 and D4) and of the adjoint module (the roots and 0).
+    smallest = min((datum.fundamental_weight(i) for i in range(1, datum.rank + 1)),
+                   key=weyl_dimension)
+    weight_sets = [weight_set(smallest), weight_set(datum.highest_root)]
+    # 30 battery draws up to 24 positive roots (F4), fewer above, down to 6
+    # on E8: each element is checked on every root.
+    draws = min(30, max(6, 720 // len(roots)))
     seen = set()
-    for s in _oracle_elements(datum, rng):
+    for s in _oracle_elements(datum, rng, draws):
+        oracle = {w: oh.evaluate_oracle(s, w) for w in {*weights, *weight_sets[0], *weight_sets[1]}}
         for w in weights:
             value = evaluate(s, w)
-            assert value == oh.evaluate_oracle(s, w) and type(value.torsion) is Fraction, (s, w)
-        regular = all(not oh.evaluate_oracle(s, r).is_identity for r in roots)
-        central = all(oh.evaluate_oracle(s, a).is_identity for a in datum.simple_roots)
+            assert value == oracle[w] and type(value.torsion) is Fraction, (s, w)
+        regular = all(not oracle[r].is_identity for r in roots)
+        central = all(oracle[a].is_identity for a in datum.simple_roots)
         assert is_regular(s) == regular and is_central(s) == central, s
         for ws in weight_sets:
-            separates = len({oh.evaluate_oracle(s, w) for w in ws}) == len(ws)
+            separates = len({oracle[w] for w in ws}) == len(ws)
             assert separates_weights(s, ws) == separates, s
             seen.add(("separates", separates))
         seen.update([("regular", regular), ("central", central), ("free rank", s.free_rank > 0)])
+        seen.add(("large denominator", max(v.torsion.denominator for v in s.assignments) > 12))
         if 2 in s.gen_denoms:
             seen.add("gen_denoms 2")
-    # Both outcomes of every predicate, and both free ranks, were exercised.
-    assert {(key, flag) for key in ("regular", "central", "separates", "free rank")
+    # Both outcomes of every predicate, both free ranks, and both small and
+    # large torsion denominators were exercised.
+    assert {(key, flag) for key in ("regular", "central", "separates", "free rank",
+                                    "large denominator")
             for flag in (True, False)} <= seen
     assert ("gen_denoms 2" in seen) == (datum.family in "BD")
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_root_batches_are_the_root_columns_under_their_coordinate_bound(name):
+    datum = parse_group(name)
+    coords = [r.coords for r in datum.positive_roots]
+    assert datum.root_coordinate_bound == max(abs(x) for c in coords for x in c)
+    assert datum.positive_root_columns == tuple(zip(*coords))
+    assert datum.simple_root_columns == tuple(zip(*(a.coords for a in datum.simple_roots)))
+
+
+def test_g2_root_residues_need_the_coordinate_bound_3():
+    # The positive roots (2, -1) and (-3, 2) of G2 differ by (5, -3).  At
+    # free exponents (200, -8) their values are 408 and -616, and a base
+    # sized for coordinates up to 2 is B = 1024 (h = 2 * 208 + 1): the two
+    # residues alias.  The bound 3 gives B = 2048, where residues are equal
+    # exactly where values are, and decode to them.
+    g2 = parse_group("G2")
+    assert g2.root_coordinate_bound == 3 and (3, -1) in g2.positive_root_coords
+    s = torus_element(g2, [(0, (200,)), (0, (-8,))])
+    values = [oh.evaluate_oracle(s, r) for r in g2.positive_roots]
+
+    def residues(c):
+        b, (rs,) = s.residues(c, g2.positive_root_columns)
+        return b, list(rs)
+
+    b, rs = residues(g2.root_coordinate_bound)
+    assert [s.decode({r: 1}, b)[0][0] for r in rs] == values
+    assert len(set(rs)) == len(set(values)) == 6
+    assert len(set(residues(2)[1])) == 5
+    assert is_regular(s) and not is_central(s)
+
+
+def test_root_and_separation_questions_build_no_values(monkeypatch):
+    # Regularity, centrality and separation are read off residues: no
+    # value is built, and the per-character key path is gone.
+    for name in ("value_key", "key_value", "identity_key"):
+        assert not hasattr(TorusElement, name)
+    cases = []
+    for name in ("A3", "B3", "D4", "G2"):
+        datum = parse_group(name)
+        rng = random.Random(f"no values:{name}")
+        cases += [(s, weight_set(datum.highest_root)) for s in _oracle_elements(datum, rng, 30)]
+    answers = [(is_regular(s), is_central(s), separates_weights(s, ws)) for s, ws in cases]
+    init, made = ValueGroupElement.__init__, [0]
+
+    def counting_init(self, torsion, free):
+        made[0] += 1
+        init(self, torsion, free)
+
+    monkeypatch.setattr(ValueGroupElement, "__init__", counting_init)
+    assert [(is_regular(s), is_central(s), separates_weights(s, ws)) for s, ws in cases] == answers
+    assert made[0] == 0 and len(set(answers)) > 2
 
 
 def test_single_root_stratum_of_sl4():
@@ -472,8 +576,8 @@ def torus_elements(draw):
 def test_torus_element_round_trips_through_json(s):
     back = torus_from_json(s.datum, json.loads(json.dumps(s.to_json())))
     assert back.assignments == s.assignments
-    roots = s.datum.positive_root_coords
-    assert [back.value_key(r) for r in roots] == [s.value_key(r) for r in roots]
+    roots = s.datum.positive_roots
+    assert [evaluate(back, r) for r in roots] == [evaluate(s, r) for r in roots]
 
 
 @pytest.mark.parametrize("name,calls", [("D4", 13), ("F4", 15), ("G2", 4)])

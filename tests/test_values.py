@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from liespectra import build_root_datum, freudenthal_multiplicities, torus_element
+from liespectra import (
+    build_root_datum, evaluate, freudenthal_multiplicities, is_central, is_regular, torus_element,
+)
 from liespectra.mult import WeightMultiset
 from liespectra.spectra import Spectrum, SpectrumClass, SpectrumKind
 from liespectra.torus import StratumSpec, TorusElement, ValueGroupElement
@@ -156,6 +158,8 @@ def test_deepcopy_and_pickle_give_an_equal_value(name):
 def test_a_copied_torus_element_evaluates_as_the_original():
     s = make("TorusElement")
     t = copy.copy(s)
-    assert t.value_key((1, 2)) == s.value_key((1, 2)) and t.identity_key == s.identity_key
+    mu = s.datum.weight((1, 2))
+    assert evaluate(t, mu) == evaluate(s, mu)
+    assert (is_regular(t), is_central(t)) == (is_regular(s), is_central(s))
     ms = freudenthal_multiplicities(LAM)
     assert copy.copy(ms).columns_by_multiplicity == ms.columns_by_multiplicity
