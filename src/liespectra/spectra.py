@@ -145,16 +145,42 @@ def classify(sp: Spectrum) -> SpectrumClass:
                            max(map(itemgetter(1), entries), default=0))
 
 
-def classify_multiset(s: TorusElement, multiset: WeightMultiset) -> SpectrumClass:
-    """``classify(spectrum_of_multiset(s, multiset))``, read off the residue
-    counts: the first two heavy residues are found in C-level passes, and
-    only a single heavy residue is decoded."""
-    b, counts = residue_counts(s, multiset)
+def almost_simple_class(s: TorusElement, multiset: WeightMultiset) -> SpectrumClass | None:
+    """``classify(spectrum_of_multiset(s, multiset))`` for a simple or almost
+    simple spectrum, and None for one that is not almost simple.
+
+    The multiplicity groups are counted on residues (as in
+    ``residue_counts``) heaviest first.  While only groups of multiplicity
+    above 1 have been counted, every counted residue is a heavy value, so
+    once the counts hold two residues the spectrum is not almost simple and
+    the lighter batches, lazy iterators, are never evaluated.  Otherwise the
+    first two heavy residues are found in C-level passes, and only a single
+    heavy residue is decoded."""
+    if multiset.highest.datum is not s.datum:
+        raise DatumMismatchError("weight bound to a different datum than the torus element")
+    groups = multiset.columns_by_multiplicity[::-1]
+    b, batches = s.residues(multiset.max_abs_coordinate, *(columns for _, columns in groups))
+    counts = Counter()
+    get = counts.get
+    for (m, _), residues in zip(groups, batches):
+        if len(counts) > 1:
+            return None
+        if m == 1:
+            counts.update(residues)
+        else:
+            for r in residues:
+                counts[r] = get(r, 0) + m
     heavy = list(islice(compress(counts, map((1).__lt__, counts.values())), 2))
-    if len(heavy) == 1:
-        (r,) = heavy
-        heavy = [s.decode({r: counts[r]}, b)[0][0]]
-    return _spectrum_class(heavy, max(counts.values(), default=0))
+    if len(heavy) > 1:
+        return None
+    return _spectrum_class([s.decode({r: counts[r]}, b)[0][0] for r in heavy],
+                           max(counts.values(), default=0))
+
+
+def classify_multiset(s: TorusElement, multiset: WeightMultiset) -> SpectrumClass:
+    """``classify(spectrum_of_multiset(s, multiset))``: ``almost_simple_class``,
+    or the full spectrum's class where that is None."""
+    return almost_simple_class(s, multiset) or classify(spectrum_of_multiset(s, multiset))
 
 
 def is_almost_simple(sp: Spectrum) -> bool:

@@ -205,6 +205,8 @@ class TorusElement(FrozenRecord):
         (columns[i][w] is coordinate i of character w, each in [-c, c]), an
         iterator over the residues x mod M of the packed sums
         x = sum_i c_i P_i in base B = 2^b; 0 means the character is trivial.
+        The iterators are lazy: a batch that is never read is never
+        evaluated.
 
         Each free digit has |F_j| <= c sum_i |f_ij| < h, with
         h = c max_j sum_i |f_ij| + 1, and B > 2h holds it as a balanced

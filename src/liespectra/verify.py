@@ -18,12 +18,18 @@ from fractions import Fraction
 
 from . import CHECK_IDS, tables
 from .exceptions import ResourceLimitError
-from .mult import freudenthal_multiplicities, validity_note, weyl_dimension, weyl_dimension_of
+from .mult import (
+    DEFAULT_DIM_BOUND,
+    freudenthal_multiplicities,
+    validity_note,
+    weyl_dimension,
+    weyl_dimension_of,
+)
 from .rootdata import Record, RootDatum, Weight, build_root_datum
 from .spectra import (
     SpectrumKind,
+    almost_simple_class,
     classify,
-    classify_multiset,
     is_almost_simple,
     spectrum_of_multiset,
 )
@@ -335,10 +341,11 @@ def _coordinate_caps(datum: RootDatum, dim_bound: int):
 
 def enumerate_modules(datum: RootDatum, dim_bound: int, include_zero=False):
     """Dominant weights with Weyl dimension within the bound, sorted by
-    (dimension, coordinates).  A negative bound raises ValueError, and a
+    (dimension, coordinates).  A negative bound raises ValueError.  A
     candidate box prod (m_i + 1) of ``_coordinate_caps`` larger than
-    DOMINANT_ENUMERATION_BOUND raises ResourceLimitError before any
-    module is listed."""
+    DOMINANT_ENUMERATION_BOUND, or a bound above DEFAULT_DIM_BOUND (the
+    largest module the Freudenthal recursion is run for), raises
+    ResourceLimitError before any module is listed."""
     if dim_bound < 0:
         raise ValueError(f"dimension bound must be >= 0, got {dim_bound}")
     caps = _coordinate_caps(datum, dim_bound)
@@ -348,6 +355,11 @@ def enumerate_modules(datum: RootDatum, dim_bound: int, include_zero=False):
             f"{datum.name} has {box} candidate dominant weights for dimension <= "
             f"{dim_bound} (coordinate caps {list(caps)}), exceeding the enumeration "
             f"bound {DOMINANT_ENUMERATION_BOUND}"
+        )
+    if dim_bound > DEFAULT_DIM_BOUND:
+        raise ResourceLimitError(
+            f"dimension bound {dim_bound} exceeds the largest module dimension "
+            f"{DEFAULT_DIM_BOUND} the multiplicities are computed for"
         )
     n = datum.rank
     out = []  # (dimension, coordinates); the last prefix check gives the dimension
@@ -397,25 +409,21 @@ def sweep_elements(datum: RootDatum, depth: int, seed: int):
 
 def classification_sweep(datum: RootDatum, dim_bound: int, depth: int, seed: int):
     """Classify every sweep element on every module within the dimension
-    bound.  Returns (modules, elements, outcomes, skipped): outcomes maps
-    each module with an almost-simple (or simple) outcome to the list of
-    (element, SpectrumClass) pairs that witness it; skipped records any
-    module rejected by a resource bound rather than silently truncating."""
+    bound.  Returns (modules, elements, outcomes): outcomes maps each module
+    with an almost-simple (or simple) outcome to the list of
+    (element, SpectrumClass) pairs that witness it.  The bound is at most
+    DEFAULT_DIM_BOUND (``enumerate_modules``), so every module's
+    multiplicities are computed."""
     modules = enumerate_modules(datum, dim_bound)
     elements = sweep_elements(datum, depth, seed)
     outcomes = {}
-    skipped = []
     for lam in modules:
-        try:
-            multiset = freudenthal_multiplicities(lam)
-        except ResourceLimitError as exc:
-            skipped.append((lam, str(exc)))
-            continue
+        multiset = freudenthal_multiplicities(lam)
         for s in elements:
-            cls = classify_multiset(s, multiset)
-            if cls.kind is not SpectrumKind.NOT_ALMOST_SIMPLE:
+            cls = almost_simple_class(s, multiset)
+            if cls is not None:
                 outcomes.setdefault(lam, []).append((s, cls))
-    return modules, elements, outcomes, skipped
+    return modules, elements, outcomes
 
 
 def verify_classification_sweep(
@@ -428,19 +436,9 @@ def verify_classification_sweep(
         f"c99:{datum.name}:dim<={dim_bound}:depth={stratum_depth}:seed={seed}",
         notes=(SWEEP_SCOPE_NOTE, validity_note(datum)),
     )
-    modules, elements, outcomes, skipped = classification_sweep(
-        datum, dim_bound, stratum_depth, seed
-    )
+    modules, _, outcomes = classification_sweep(datum, dim_bound, stratum_depth, seed)
     permitted = tables.permitted_almost_simple(datum)
-    skipped_set = {lam for lam, _ in skipped}
-    for lam, reason in skipped:
-        rec.check(
-            f"{lam}: skipped ({reason})", True,
-            expected="resource bound respected", actual="skipped",
-        )
     for lam in modules:
-        if lam in skipped_set:
-            continue
         expect = lam.coords in permitted
         witnesses = outcomes.get(lam, [])
         label = f"{lam} (dim {weyl_dimension(lam)})"
@@ -468,10 +466,7 @@ def verify_multiplicity_bounds(
         f"bounds:{datum.name}:dim<={dim_bound}:seed={seed}",
         notes=(SWEEP_SCOPE_NOTE,),
     )
-    _, _, outcomes, skipped = classification_sweep(datum, dim_bound, stratum_depth, seed)
-    for lam, reason in skipped:
-        rec.check(f"{lam}: skipped ({reason})", True,
-                  expected="resource bound respected", actual="skipped")
+    _, _, outcomes = classification_sweep(datum, dim_bound, stratum_depth, seed)
     any_case = False
     for lam, pairs in sorted(outcomes.items(), key=lambda kv: kv[0].coords):
         dim = weyl_dimension(lam)

@@ -304,6 +304,24 @@ def test_verify_rejects_huge_dim_bound_before_enumerating():
     assert float(elapsed) < 1.0
 
 
+@pytest.mark.parametrize("check", ["c99", "bounds"])
+@pytest.mark.parametrize("family,rank", [("F", 4), ("G", 2)])
+def test_verify_rejects_a_dim_bound_above_the_module_ceiling(check, family, rank):
+    # At 1.1e6 both groups have modules above the Freudenthal dimension
+    # bound of 1e6 (three on F4, seven on G2); the sweep is rejected before
+    # any module is listed rather than passing them unchecked.  A child
+    # process, so a regression is killed by the timeout.
+    script = (
+        "from liespectra.cli import run; "
+        f"print(run(['verify', '--check', '{check}', '--family', '{family}', "
+        f"'--rank', '{rank}', '--dim-bound', '1100000', '--depth', '1']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=10)
+    assert proc.stdout == "3\n"
+    assert "resource limit" in proc.stderr and "1000000" in proc.stderr
+
+
 @pytest.mark.parametrize("check,family", [("c99", "A"), ("c99", "D"), ("bounds", "B")])
 def test_verify_rejects_a_rank_32_depth_two_sweep_before_the_strata(check, family):
     # Depth-2 strata key every pair of positive roots: 139,656 sets on A32,

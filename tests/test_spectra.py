@@ -33,7 +33,8 @@ from liespectra import (
     zero_weight_multiplicity,
 )
 from liespectra.mult import weyl_dimension
-from liespectra.spectra import SpectrumKind
+from liespectra.spectra import SpectrumKind, almost_simple_class
+from liespectra.torus import TorusElement
 from liespectra.verify import sweep_elements
 from liespectra.weights import enumerate_dominant_by_sum, is_radical, dominates
 
@@ -164,6 +165,64 @@ def test_classify_multiset_matches_classify_on_sweep_elements(name, bound):
             _assert_counts_path_agrees(s, multiset, sp)
             kinds.add(classify(sp).kind)
     assert SpectrumKind.ALMOST_SIMPLE in kinds and SpectrumKind.NOT_ALMOST_SIMPLE in kinds
+
+
+def _assert_early_exit_agrees(s, multiset, sp):
+    """almost_simple_class is None exactly when classify(sp) is not almost
+    simple, and classify(sp) otherwise; returns it."""
+    cls, got = classify(sp), almost_simple_class(s, multiset)
+    assert got == (None if cls.kind is SpectrumKind.NOT_ALMOST_SIMPLE else cls)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(packing_cases())
+def test_almost_simple_class_matches_classify_of_the_spectrum(case):
+    s, multiset = case
+    _assert_early_exit_agrees(s, multiset, _spectrum_by_evaluate(s, multiset))
+
+
+@pytest.mark.parametrize("name,bound", [("A3", 45), ("B3", 30), ("C3", 30), ("D4", 60)])
+def test_almost_simple_class_matches_classify_on_sweep_elements(name, bound):
+    # A regular element separates the weights, so on a module whose only
+    # heavy weight is 0 (the adjoint module) it has exactly one heavy value.
+    datum = parse_group(name)
+    elements = (*sweep_elements(datum, 2, 0), generic_regular_element(datum))
+    heavy = set()
+    for lam in enumerate_dominant_by_sum(datum, 3):
+        if weyl_dimension(lam) > bound:
+            continue
+        multiset = freudenthal_multiplicities(lam)
+        for s in elements:
+            cls = _assert_early_exit_agrees(s, multiset, spectrum_of_multiset(s, multiset))
+            heavy.add(None if cls is None else cls.max_multiplicity > 1)
+    assert heavy == {None, True, False}
+
+
+def test_almost_simple_class_never_evaluates_the_multiplicity_one_batch(monkeypatch):
+    # B3 L(2 w2) has weights of multiplicity 8, 4, 2 and 1.  At every sweep
+    # element the heavy weights already take two values, so the spectrum is
+    # not almost simple before the lightest batch is read.
+    datum = parse_group("B3")
+    multiset = freudenthal_multiplicities(datum.weight((0, 2, 0)))
+    assert [m for m, _ in multiset.columns_by_multiplicity] == [1, 2, 4, 8]
+    light = multiset.columns_by_multiplicity[0][1]
+    residues, read = TorusElement.residues, []
+
+    def recording(batch, it):
+        for r in it:
+            read.append(batch)
+            yield r
+
+    def recording_residues(self, c, *batches):
+        b, out = residues(self, c, *batches)
+        return b, [recording(batch, it) for batch, it in zip(batches, out)]
+
+    monkeypatch.setattr(TorusElement, "residues", recording_residues)
+    for s in sweep_elements(datum, 2, 0):
+        read.clear()
+        assert almost_simple_class(s, multiset) is None
+        assert read and not any(batch is light for batch in read)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -155,8 +155,8 @@ def test_deeper_sweeps_only_add_permitted_witnesses():
 
     for fam, rank, bound in [("A", 3, 40), ("B", 3, 40), ("D", 4, 50)]:
         datum = build_root_datum(fam, rank)
-        _, _, shallow, _ = classification_sweep(datum, bound, 1, seed=0)
-        _, _, deep, _ = classification_sweep(datum, bound, 2, seed=0)
+        _, _, shallow = classification_sweep(datum, bound, 1, seed=0)
+        _, _, deep = classification_sweep(datum, bound, 2, seed=0)
         hits1 = {lam.coords for lam in shallow}
         hits2 = {lam.coords for lam in deep}
         assert hits1 <= hits2
