@@ -8,15 +8,16 @@ and cubic algorithms below are plenty.
 
 from __future__ import annotations
 
+from operator import mul
+
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def vec_mat(v, m):
-    """Row vector times matrix."""
-    cols = len(m[0])
-    return tuple(sum(v[k] * m[k][j] for k in range(len(v))) for j in range(cols))
+    """Row vector times matrix: one dot product of v with each column."""
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
 def det_adjugate(a):

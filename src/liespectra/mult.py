@@ -152,14 +152,26 @@ def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):
     return frozenset(walk.index)
 
 
+def check_dim_ceiling(dim_bound: int):
+    """Raise ResourceLimitError for a dimension bound above DEFAULT_DIM_BOUND,
+    the largest module the multiplicities are computed for."""
+    if dim_bound > DEFAULT_DIM_BOUND:
+        raise ResourceLimitError(
+            f"dimension bound {dim_bound} exceeds the largest module dimension "
+            f"{DEFAULT_DIM_BOUND} the multiplicities are computed for"
+        )
+
+
 def freudenthal_multiplicities(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -> WeightMultiset:
     """Characteristic-0 weight multiplicities of the irreducible module with
-    highest weight lam.  The dimension is checked against dim_bound before any
-    kernel runs; the kernel's closure and orbit walk are kept for the next
-    question about the same module (see `kernels.module_walk`), so
-    premet_weight_set(lam) after this call walks nothing."""
+    highest weight lam.  The dimension is checked against dim_bound, and
+    dim_bound against its ceiling DEFAULT_DIM_BOUND, before any kernel runs;
+    the kernel's closure and orbit walk are kept for the next question about
+    the same module (see `kernels.module_walk`), so premet_weight_set(lam)
+    after this call walks nothing."""
     if dim_bound < 0:
         raise ValueError(f"dimension bound must be >= 0, got {dim_bound}")
+    check_dim_ceiling(dim_bound)
     if not lam.is_dominant:
         raise ValueError(f"multiplicities need a dominant weight, got {lam}")
     datum = lam.datum

@@ -1,11 +1,14 @@
 """Root data for the simple types A-G, built in integers from Bourbaki's
 Dynkin diagrams.
 
-The Cartan matrix comes from the diagram's edges and root lengths; one
-fraction-free determinant and adjugate of it give the invariant form on the
-weight lattice, the simple-root coefficients of a weight and, for families
-A-D, the epsilon-coordinates of the fundamental weights.  Rationals remain
-only in those epsilon-coordinates and in ``form`` values.
+The Cartan matrix comes from the diagram's edges and root lengths.  The
+positive roots are built from the simple roots along root strings, height by
+height, each with its simple-root coefficients and length.  One
+fraction-free determinant and adjugate of the Cartan matrix give the
+invariant form on the weight lattice, the simple-root coefficients of any
+other weight (``root_coefficients``) and, for families A-D, the
+epsilon-coordinates of the fundamental weights.  Rationals remain only in
+those epsilon-coordinates and in ``form`` values.
 
 Conventions (fixed throughout the package):
 
@@ -26,9 +29,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
+from itertools import compress, repeat
+from operator import add, attrgetter, floordiv, gt, mul
 
-from . import kernels
 from .exceptions import DatumMismatchError, UnsupportedRootSystemError
 from .linalg import det_adjugate, vec_mat
 
@@ -245,12 +248,13 @@ class RootDatum:
         # c_i (alpha_i, alpha_i) / (alpha, alpha), integers since alpha^vee
         # lies in the coroot lattice; height and support for weyl_order.
         self.coroot_pairings = tuple(
-            tuple(c[i] * self._d[i] // half for i in range(n)) for c, _, half in roots
+            tuple(map(floordiv, map(mul, c, d), repeat(half))) for c, _, half in roots
         )
         # prod <rho, alpha^vee>: the denominator of the Weyl dimension formula.
         self.rho_coroot_product = math.prod(sum(pv) for pv in self.coroot_pairings)
         self._root_heights_supports = tuple(
-            (sum(c), frozenset(i for i in range(n) if c[i])) for c, _, _ in roots
+            (h, frozenset(compress(range(n), c)))
+            for h, (c, _, _) in zip(self.positive_root_heights, roots)
         )
         self._indices = frozenset(range(n))
         self._weyl_orders = {}
@@ -263,31 +267,46 @@ class RootDatum:
         if family in "ABCD":
             eps_simple = _simple_roots_eps(family, rank)
             self.epsilon_map = tuple(
-                tuple(
-                    Fraction(sum(adj[j][i] * a[m] for j, a in enumerate(eps_simple)), det)
-                    for m in range(len(eps_simple[0]))
-                )
-                for i in range(n)
+                tuple(Fraction(x, det) for x in vec_mat(adj_i, eps_simple))
+                for adj_i in self.cartan_t_adj
             )
 
     # -- construction helpers -------------------------------------------------
 
     def _generate_positive_roots(self):
-        # Every root is W-conjugate to a simple root, so the roots are the
-        # W-orbits of the simple roots (at most two: one per root length),
-        # and each root has the length of the simple root it came from.
-        half_lengths = {}
-        for a, half in zip(self.simple_root_coords, self._d):
-            if a not in half_lengths:
-                half_lengths.update(dict.fromkeys(kernels.weyl_orbit(self, a), half))
-        positive = []
-        for coords, half in half_lengths.items():
-            cf = self._coefficients(coords)
-            if all(x >= 0 for x in cf):
-                positive.append((sum(cf), coords, cf, half))
-        # Sort by height then lexicographically, for reproducible reports.
-        positive.sort()
-        return [(cf, coords, half) for _, coords, cf, half in positive]
+        """(coefficients, omega-coordinates, (beta, beta)/2) per positive root
+        beta, sorted by height and then by coordinates.
+
+        The roots are built from the simple roots height by height, along
+        root strings (Humphreys, Lie Algebras 8.4, 10.4).  The alpha_i-string
+        through beta runs unbroken from beta - p alpha_i to beta + q alpha_i
+        with p - q = <beta, alpha_i^vee> = coords[i], so beta + alpha_i is a
+        root iff p > coords[i].  Each root carries its p per i: 0 for a
+        simple root, and p_i(beta + alpha_i) = p_i(beta) + 1.  A root gamma
+        of the next height is reached from every root gamma - alpha_j, all of
+        this height, so each p_j(gamma) > 0 is set before gamma's height is
+        walked.  Lengths follow as (beta + alpha_i, beta + alpha_i)/2 =
+        (beta, beta)/2 + d_i (coords[i] + 1).
+        """
+        n, alpha, d = self.rank, self.simple_root_coords, self._d
+        indices = range(n)
+        # omega-coordinates -> [coefficients, p, (beta, beta)/2]
+        level = {a: [tuple(int(i == j) for j in indices), [0] * n, d[i]]
+                 for i, a in enumerate(alpha)}
+        out = []
+        while level:
+            out.extend(sorted(level.items()))
+            above = {}
+            for coords, (cf, p, half) in level.items():
+                for i in compress(indices, map(gt, p, coords)):
+                    up = tuple(map(add, coords, alpha[i]))
+                    entry = above.get(up)
+                    if entry is None:
+                        entry = above[up] = [cf[:i] + (cf[i] + 1,) + cf[i + 1:], [0] * n,
+                                             half + d[i] * (coords[i] + 1)]
+                    entry[1][i] = p[i] + 1
+            level = above
+        return [(cf, coords, half) for coords, (cf, _, half) in out]
 
     def _coefficients(self, coords):
         det = self.cartan_det

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import CHECK_IDS, tables
 from .exceptions import ResourceLimitError
 from .mult import (
-    DEFAULT_DIM_BOUND,
+    check_dim_ceiling,
     freudenthal_multiplicities,
     validity_note,
     weyl_dimension,
@@ -356,11 +356,7 @@ def enumerate_modules(datum: RootDatum, dim_bound: int, include_zero=False):
             f"{dim_bound} (coordinate caps {list(caps)}), exceeding the enumeration "
             f"bound {DOMINANT_ENUMERATION_BOUND}"
         )
-    if dim_bound > DEFAULT_DIM_BOUND:
-        raise ResourceLimitError(
-            f"dimension bound {dim_bound} exceeds the largest module dimension "
-            f"{DEFAULT_DIM_BOUND} the multiplicities are computed for"
-        )
+    check_dim_ceiling(dim_bound)
     n = datum.rank
     out = []  # (dimension, coordinates); the last prefix check gives the dimension
     coords = [0] * n

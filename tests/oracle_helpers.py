@@ -266,6 +266,52 @@ def positive_roots_oracle(datum):
     return tuple(c for _, c in sorted(keyed))
 
 
+def classical_positive_roots_oracle(family, rank):
+    """Positive roots of a type A-D from Bourbaki's epsilon-description (Lie
+    VI, Plates I-IV): e_i - e_j and, except for A, e_i + e_j (i < j), plus e_i
+    for B and 2 e_i for C.  Returns (height, omega-coordinates, (beta, beta)/2)
+    per root, sorted by height and then by coordinates.
+
+    Only the ambient dot product is used, in integers: <beta, alpha_k^vee> =
+    2 (beta, alpha_k) / (alpha_k, alpha_k), and the height is (beta, rho^vee)
+    for the rho^vee with (alpha_k, rho^vee) = 1 for every simple root."""
+    n = rank
+    simple, scale = _simple_roots_eps_oracle(family, rank)
+    width = len(simple[0])
+    # 2 rho^vee: (2n - 2k) for A and B, (2n - 1 - 2k) for C, (2n - 2 - 2k) for D.
+    top = 2 * n - {"A": 0, "B": 0, "C": 1, "D": 2}[family]
+    rho_vee2 = [top - 2 * k for k in range(width)]
+    ambient = []  # each root as {ambient index: coefficient}
+    for i, j in itertools.combinations(range(width), 2):
+        ambient.append({i: 1, j: -1})
+        if family != "A":
+            ambient.append({i: 1, j: 1})
+    if family in "BC":
+        ambient += [{i: 1 if family == "B" else 2} for i in range(n)]
+    # <e_k, alpha_r^vee> = 2 a_r[k] / (alpha_r, alpha_r): an integer for A-D,
+    # nonzero for at most three r.
+    columns = []
+    for k in range(width):
+        col = []
+        for r, a in enumerate(simple):
+            q, rem = divmod(2 * a[k], sum(x * x for x in a))
+            assert rem == 0
+            if q:
+                col.append((r, q))
+        columns.append(col)
+    out = []
+    for beta in ambient:
+        coords = [0] * n
+        for k, c in beta.items():
+            for r, q in columns[k]:
+                coords[r] += c * q
+        height, odd = divmod(sum(c * rho_vee2[k] for k, c in beta.items()), 2)
+        half, odd_half = divmod(scale * sum(c * c for c in beta.values()), 2)
+        assert odd == odd_half == 0
+        out.append((height, tuple(coords), half))
+    return tuple(sorted(out))
+
+
 def weyl_dimension_oracle(datum, coords):
     """Weyl's product prod (lam + rho, b) / (rho, b) over the positive roots
     b, in Fractions on the invariant form (no coroot pairings).  The roots

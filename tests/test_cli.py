@@ -322,6 +322,30 @@ def test_verify_rejects_a_dim_bound_above_the_module_ceiling(check, family, rank
     assert "resource limit" in proc.stderr and "1000000" in proc.stderr
 
 
+E8_HALF = json.dumps({"omega_values": [{"torsion": "1/2"}] * 8})
+
+
+@pytest.mark.parametrize("command,extra", [("weights", ()), ("spectrum", ("--element", E8_HALF))])
+def test_a_dim_bound_above_the_ceiling_is_rejected_before_any_kernel(command, extra):
+    # E8 at rho has dimension 2^120, so a 41-digit bound admits it and its
+    # closure would run until killed.  A child process, so a regression is
+    # killed by the timeout instead of hanging the suite.
+    argv = [command, "--group", "E8", "--highest", "[1,1,1,1,1,1,1,1]",
+            "--dim-bound", "9" * 41, *extra]
+    script = f"from liespectra.cli import run; print(run({argv!r}))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=10)
+    assert proc.stdout == "3\n"
+    assert "resource limit" in proc.stderr and "1000000" in proc.stderr
+
+
+@pytest.mark.parametrize("command,extra", [("weights", ()), ("spectrum", ("--epsilon", "a,1,1/a"))])
+def test_a_dim_bound_at_the_ceiling_still_answers(capsys, command, extra):
+    code, out, _ = invoke(capsys, command, "--group", "A2", "--highest", "[1,1]",
+                          "--dim-bound", str(cli.DEFAULT_DIM_BOUND), *extra)
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("check,family", [("c99", "A"), ("c99", "D"), ("bounds", "B")])
 def test_verify_rejects_a_rank_32_depth_two_sweep_before_the_strata(check, family):
     # Depth-2 strata key every pair of positive roots: 139,656 sets on A32,

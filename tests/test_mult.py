@@ -283,6 +283,14 @@ def test_dimension_bound_rejection():
     assert "27" in str(err.value)
 
 
+def test_dimension_bound_above_the_ceiling_rejected_before_any_kernel():
+    lam = build_root_datum("E", 8).rho  # dimension 2^120
+    before = kernels.module_walk.cache_info()
+    with pytest.raises(ResourceLimitError, match="exceeds the largest module dimension"):
+        freudenthal_multiplicities(lam, dim_bound=kernels.DEFAULT_DIM_BOUND + 1)
+    assert kernels.module_walk.cache_info() == before
+
+
 def test_premet_orbit_bound_rejection():
     e7 = build_root_datum("E", 7)
     with pytest.raises(ResourceLimitError):

@@ -279,6 +279,28 @@ def test_positive_roots_match_reflection_closure(name):
     assert datum.positive_root_coords == tuple(r.coords for r in datum.positive_roots)
 
 
+@pytest.mark.parametrize("family", "ABCD")
+def test_classical_positive_roots_match_the_epsilon_description(family):
+    # Every supported rank: the roots, their order, heights and lengths come
+    # from Bourbaki's e_i +- e_j (and e_i, 2 e_i) alone.
+    lo, hi = rootdata.SUPPORTED_RANGES[family]
+    for rank in range(lo, hi + 1):
+        datum = build_root_datum(family, rank)
+        got = tuple(zip(datum.positive_root_heights, datum.positive_root_coords,
+                        datum.root_half_lengths))
+        assert got == oh.classical_positive_roots_oracle(family, rank), datum.name
+
+
+@pytest.mark.parametrize("name,h", [("E6", 12), ("E7", 18), ("E8", 30), ("F4", 12), ("G2", 6)])
+def test_positive_roots_match_the_coxeter_number(name, h):
+    # |Phi+| = nh/2 for the Coxeter number h, and the highest root has height
+    # h - 1 (Humphreys, Reflection Groups and Coxeter Groups, 3.18-3.20).
+    datum = parse_group(name)
+    assert 2 * len(datum.positive_root_coords) == datum.rank * h
+    assert datum.positive_root_heights[-1] == h - 1 > datum.positive_root_heights[-2]
+    assert datum.highest_root.coords == datum.positive_root_coords[-1]
+
+
 @pytest.mark.parametrize("name", RANK_AT_MOST_8)
 def test_root_lengths_and_coroot_pairings_match_the_form(name):
     datum = parse_group(name)
