@@ -1,23 +1,33 @@
 """The hot loops: dominant representatives and closures, Weyl orbits and the
 Freudenthal recursion.
 
-dominant_rep is the package's one dominant-representative loop.  All the
-orbits of a module are walked as trees in one loop (see `orbits`).  The walk
-gives the module's orbit index, {weight: index of its dominant weight}
-(`orbit_expand`), in which the Freudenthal recursion looks up every step of an
-alpha-string; each string stops at its first dominant weight (see
-`freudenthal`).  Every kernel takes the RootDatum first and reads the root
-data it needs from it.
+dominant_rep is the package's one dominant-representative loop.  A Weyl
+orbit is walked as a tree from its dominant weight (see `walk_orbit`).  A
+module's orbit index, {weight: index of its dominant weight}
+(`orbit_expand`), is read off per-support templates: the stabilizer of a
+dominant weight is the parabolic subgroup of its zero coordinates, so every
+dominant weight of one support has an orbit of the same shape.  For each
+(datum, support) met, one generic orbit is walked once and kept on the datum
+as slot columns (see `_orbit_template`); every orbit of that support is then
+filled in from the dominant weight's coroot pairings by C-level maps.  The
+Freudenthal recursion looks up every step of an alpha-string in the index;
+each string stops at its first dominant weight (see `freudenthal`).  Every
+kernel takes the RootDatum first and reads the root data it needs from it.
 
 A module's closure and orbit index are computed once and shared by everything
 asked of that module (see `module_walk`): the multiplicities and the weight
-set of one module run one closure and one walk between them.  The memo holds
-one module, the last one asked for, process-wide.
+set of one module run one closure and one expansion between them.  The memo
+holds one module, the last one asked for, process-wide.  The templates are
+not such a memo: they hold no weight of any module, so a warm pass still
+builds every weight tuple, index entry and multiplicity.  They cost n bytes
+per orbit weight for each support met, per datum, and live as long as the
+datum.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import chain, compress, repeat
 from operator import add, mul, sub
 
 # The only kernel implementation; perfbench/run.py reads this name.
@@ -96,17 +106,15 @@ def _neighbours(alpha):
     return near, later
 
 
-def orbits(datum, doms):
-    """The Weyl orbits of the distinct dominant weights doms, each weight once,
-    in no fixed order: (weights, owner), where owner[k] is the index in doms
-    of the dominant weight in the orbit of weights[k].
+def walk_orbit(datum, start):
+    """The Weyl orbit of the dominant weight start, each weight once, in walk
+    order (start first).
 
     The parent of a non-dominant nu is s_i nu for i the first negative
-    coordinate of nu (dominant_rep's step), so each orbit is a tree rooted at
-    its dominant weight.  Reverse search (Avis-Fukuda) walks it down: a child
-    s_i mu of mu (mu_i > 0, so the child's i-th coordinate is negative) is
-    kept iff the child's coordinates before i are all >= 0.  The list starts
-    with every root, and one loop walks all the trees.
+    coordinate of nu (dominant_rep's step), so the orbit is a tree rooted at
+    start.  Reverse search (Avis-Fukuda) walks it down: a child s_i mu of mu
+    (mu_i > 0, so the child's i-th coordinate is negative) is kept iff the
+    child's coordinates before i are all >= 0.
 
     Each listed weight carries f, its first negative coordinate (n for a
     dominant weight), which is the i that made it.  For i < f the child is kept
@@ -117,21 +125,19 @@ def orbits(datum, doms):
     before f are, by the same bound).  s_i changes only coordinate i (to
     -mu_i) and i's Dynkin neighbours, so a child is built by updating those.
 
-    The walk keeps no seen-set, so it relies on its roots: from a non-dominant
-    root it lists a wrong part of the orbit, and a repeated root lists its
-    orbit twice.  Such a start raises ValueError before any weight is listed.
+    The walk keeps no seen-set, so it relies on its root: from a non-dominant
+    start it lists a wrong part of the orbit, and such a start raises
+    ValueError.
     """
-    out = [tuple(d) for d in doms]
-    if min(map(min, out), default=0) < 0:
-        raise ValueError("orbit walk needs dominant starts")
-    if len(set(out)) != len(out):
-        raise ValueError("orbit walk needs distinct starts")
+    start = tuple(start)
+    if min(start, default=0) < 0:
+        raise ValueError("orbit walk needs a dominant start")
     n = datum.rank
     near, later = _neighbours(datum.simple_root_coords)
-    firsts = [n] * len(out)
-    owner = list(range(len(out)))
-    push, pushf, pusho = out.append, firsts.append, owner.append
-    for mu, f, o in zip(out, firsts, owner):
+    out = [start]
+    firsts = [n]
+    push, pushf = out.append, firsts.append
+    for mu, f in zip(out, firsts):
         for i in range(f):
             ci = mu[i]
             if ci > 0:
@@ -141,7 +147,6 @@ def orbits(datum, doms):
                     child[j] -= ci * a
                 push(tuple(child))
                 pushf(i)
-                pusho(o)
         if f < n:
             mf = mu[f]
             for i, af in later[f]:
@@ -154,26 +159,113 @@ def orbits(datum, doms):
                     if min(child[f + 1:i], default=0) >= 0:
                         push(tuple(child))
                         pushf(i)
-                        pusho(o)
-    return out, owner
+    return out
 
 
 def weyl_orbit(datum, start):
     """Full Weyl orbit of a weight, lexicographically sorted."""
-    return sorted(orbits(datum, (dominant_rep(datum, start)[0],))[0])
+    return sorted(walk_orbit(datum, dominant_rep(datum, start)[0]))
+
+
+def _coroot_classes(datum, support):
+    """(g, classes) for the support (a tuple of bools, True where a dominant
+    weight's coordinate is nonzero): the generic dominant weight g of the
+    support, and {<g, beta^vee>: the coefficients of one such beta^vee} over
+    the positive coroots beta^vee that g does not pair to 0.
+
+    Coroots with the same coefficients on the support pair alike with every
+    weight of the support; call them a class.  g_i = B^t for the t-th i of
+    the support, with B = 2m + 1 and m the largest coefficient of a coroot.
+    Every coroot's coefficients lie in -m..m, so those on the support are
+    the balanced base-B digits of its pairing with g, and the pairing names
+    its class.
+    """
+    n = datum.rank
+    base = 2 * max(map(max, datum.coroot_pairings)) + 1
+    g = [0] * n
+    for t, i in enumerate(compress(range(n), support)):
+        g[i] = base ** t
+    classes = {}
+    for pv in datum.coroot_pairings:
+        v = sum(map(mul, g, pv))
+        if v and v not in classes:
+            classes[v] = pv
+    return g, classes
+
+
+def _orbit_template(datum, support):
+    """The orbit template of the support: (reps, columns), built once per
+    datum and kept in ``datum._orbit_templates``.
+
+    The stabilizer of a dominant mu is the parabolic subgroup W_J, J the
+    zero coordinates of mu (Steinberg; Humphreys, Reflection Groups and
+    Coxeter Groups, ch. 1), so w mu <-> w W_J is one bijection for every mu
+    of one support, and coordinate k of w mu is <mu, w^-1 alpha_k^vee>, the
+    pairing of mu with a coroot.  The template walks the orbit of the
+    generic g of the support once (see _coroot_classes), and each
+    coordinate value of the walk names the class of that coroot, or of its
+    negative.  reps holds one positive coroot's coefficients per class, and
+    columns[k][t] is the slot of coordinate k of the t-th weight of the
+    walk in p(mu): the pairings of mu with reps, then their negatives, then
+    0.  The template holds no weight of any module, only n columns of
+    one-byte slots per orbit weight.  A slot fits in a byte while the
+    support has at most 127 classes, which every support of every type of
+    rank <= 8 has (E8's full support has 120), and so has every support
+    whose orbit is within DEFAULT_ORBIT_BOUND (at most 63, on E7's full
+    support); bytes() refuses a larger slot with ValueError.
+    """
+    template = datum._orbit_templates.get(support)
+    if template is None:
+        g, classes = _coroot_classes(datum, support)
+        c = len(classes)
+        slot = {0: 2 * c}
+        for j, v in enumerate(classes):
+            slot[v] = j
+            slot[-v] = j + c
+        walk = walk_orbit(datum, g)
+        columns = tuple(bytes(map(slot.__getitem__, col)) for col in zip(*walk))
+        template = datum._orbit_templates[support] = (tuple(classes.values()), columns)
+    return template
 
 
 def orbit_expand(datum, doms):
     """The orbit index of the distinct dominant weights doms: {weight: index
-    in doms of its dominant weight} over all their Weyl orbits."""
-    weights, owner = orbits(datum, doms)
-    return dict(zip(weights, owner))
+    in doms of its dominant weight} over all their Weyl orbits.
+
+    The dominant weights are grouped by support, and each group is read off
+    its support's template (see _orbit_template) in one batch: the orbit of
+    mu is zip(*columns) with every slot replaced by its entry of p(mu), one
+    C-level map per column, and the group's orbits are chained into one
+    dict update.  A non-dominant or repeated start raises ValueError before
+    any weight is listed.
+    """
+    doms = [tuple(d) for d in doms]
+    if min(map(min, doms), default=0) < 0:
+        raise ValueError("orbit expansion needs dominant starts")
+    if len(set(doms)) != len(doms):
+        raise ValueError("orbit expansion needs distinct starts")
+    groups = {}
+    for k, mu in enumerate(doms):
+        groups.setdefault(tuple(map(bool, mu)), []).append(k)
+    index = {}
+    for support, ks in groups.items():
+        reps, columns = _orbit_template(datum, support)
+        gets = []
+        for k in ks:
+            mu = doms[k]
+            p = [sum(map(mul, mu, r)) for r in reps]
+            p += [-x for x in p]
+            p.append(0)
+            gets.append(p.__getitem__)
+        weights = chain.from_iterable(map(zip, *[map(map, gets, repeat(col)) for col in columns]))
+        index.update(zip(weights, chain.from_iterable(map(repeat, ks, repeat(len(columns[0]))))))
+    return index
 
 
 class ModuleWalk:
     """The dominant weights of one module, ``doms`` (as returned by
     dominant_subdominants), and its orbit index ``index`` (as returned by
-    orbit_expand), walked on first read.  Both are shared with every later
+    orbit_expand), expanded on first read.  Both are shared with every later
     reader of the memo and must not be changed."""
 
     def __init__(self, datum, doms):
@@ -191,8 +283,8 @@ def module_walk(datum, lam):
     """The ModuleWalk of the module with dominant highest weight lam.
 
     One slot, process-wide: asking for the module that was asked for last
-    reuses its closure and walk, and any other module replaces it, so the
-    memory held is bounded by the last module.  A slot per datum would keep
+    reuses its closure and orbit index, and any other module replaces it, so
+    the memory held is bounded by the last module.  A slot per datum would keep
     one module per group alive, and a caller who asks for the same few
     modules over and over (a benchmark reusing its inputs) would then time
     memo reads instead of kernels.

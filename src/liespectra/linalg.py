@@ -1,5 +1,7 @@
-"""Small exact integer linear algebra: determinant and adjugate by
-fraction-free elimination, Hermite and Smith normal forms.
+"""Small exact integer linear algebra: Hermite and Smith normal forms, for
+the torus layer's lattices.  The determinant, adjugate and vector-matrix
+product that a root-datum build needs live in `rootdata`, so building a
+datum does not compile this module.
 
 Everything here works on nested tuples/lists of ints; matrices are
 row-major lists of rows.  Sizes stay small (rank <= 32), so the quadratic
@@ -8,46 +10,9 @@ and cubic algorithms below are plenty.
 
 from __future__ import annotations
 
-from operator import mul
-
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def vec_mat(v, m):
-    """Row vector times matrix: one dot product of v with each column."""
-    return tuple(sum(map(mul, v, col)) for col in zip(*m))
-
-
-def det_adjugate(a):
-    """Determinant and adjugate of a square integer matrix: (det, adj) with
-    adj = det * a^-1, or (0, None) if a is singular.
-
-    Bareiss's fraction-free Gauss-Jordan elimination on [a | I] (Math. Comp.
-    22, 1968): after step k every entry is a (k+1)-minor, so each division by
-    the previous pivot is exact, and the last pivot is +-det with the right
-    block +-adj.
-    """
-    n = len(a)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    prev, sign = 1, 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot is None:
-            return 0, None
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        rk = m[k]
-        p = rk[k]
-        for i in range(n):
-            if i != k:
-                ri = m[i]
-                f = ri[k]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
-        prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def hermite_normal_form(rows):

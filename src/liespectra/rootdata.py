@@ -33,7 +33,6 @@ from itertools import compress, repeat
 from operator import add, attrgetter, floordiv, gt, mul
 
 from .exceptions import DatumMismatchError, UnsupportedRootSystemError
-from .linalg import det_adjugate, vec_mat
 
 # Rank ranges per family.  The classical families stop at 32, so a huge rank
 # is rejected before its build, whose cost grows faster than n^3.
@@ -261,6 +260,7 @@ class RootDatum:
         self._levels = {}  # dominant coords -> weights.weight_level
         self._level_steps = None  # weights._level_steps
         self._strata = {}  # depth -> torus.canonical_root_strata
+        self._orbit_templates = {}  # support -> kernels._orbit_template
 
         # Bourbaki epsilon-coordinates of omega_i = sum_j adj[j][i]/det alpha_j.
         self.epsilon_map = None
@@ -378,6 +378,41 @@ class RootDatum:
 
     def __repr__(self):
         return f"RootDatum({self.family!r}, {self.rank})"
+
+
+def vec_mat(v, m):
+    """Row vector times matrix: one dot product of v with each column."""
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
+
+
+def det_adjugate(a):
+    """Determinant and adjugate of a square integer matrix: (det, adj) with
+    adj = det * a^-1, or (0, None) if a is singular.
+
+    Bareiss's fraction-free Gauss-Jordan elimination on [a | I] (Math. Comp.
+    22, 1968): after step k every entry is a (k+1)-minor, so each division by
+    the previous pivot is exact, and the last pivot is +-det with the right
+    block +-adj.
+    """
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev, sign = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        rk = m[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                ri = m[i]
+                f = ri[k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def _dynkin(family, rank):

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 import oracle_helpers as oh
 
 from liespectra import build_root_datum
-from liespectra.linalg import det_adjugate, hermite_normal_form, smith_normal_form, vec_mat
+from liespectra.linalg import hermite_normal_form, smith_normal_form
+from liespectra.rootdata import det_adjugate, vec_mat
 
 
 @st.composite

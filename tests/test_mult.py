@@ -321,7 +321,7 @@ def test_validity_note_is_attached():
 
 
 # The multiplicities and the weight set of one module share its closure and
-# orbit walk through kernels.module_walk, a memo of one module.
+# orbit index through kernels.module_walk, a memo of one module.
 
 
 @pytest.fixture
@@ -346,7 +346,7 @@ def record_calls(monkeypatch, name):
 
 
 def test_multiplicities_then_weight_set_walk_the_module_once(monkeypatch, cold_walk):
-    walks = record_calls(monkeypatch, "orbits")
+    walks = record_calls(monkeypatch, "orbit_expand")
     b2 = build_root_datum("B", 2)
     lam, other = b2.weight((1, 1)), parse_group("G2").weight((1, 0))
     ms = freudenthal_multiplicities(lam)
