@@ -1,7 +1,10 @@
 import json
+from types import MappingProxyType
 
 import pytest
 
+from liespectra import verify
+from liespectra.exceptions import ResourceLimitError
 from liespectra import (
     build_root_datum,
     run_check,
@@ -110,6 +113,8 @@ def test_natural_check_draws_past_the_sample_count_until_one_is_non_central():
 
 def test_reports_are_deterministic_and_json_stable():
     r1 = run_check("c99", family="C", rank=2, dim_bound=30, depth=1, seed=4)
+    # Cleared, so that the second report comes from a second sweep, not the slot.
+    verify.classification_sweep.cache_clear()
     r2 = run_check("c99", family="C", rank=2, dim_bound=30, depth=1, seed=4)
     j1, j2 = r1.to_json(), r2.to_json()
     assert set(j1) == {"check_id", "status", "notes", "elapsed_seconds", "cases"}
@@ -169,3 +174,108 @@ def test_failed_reports_carry_mismatch_pairs():
     assert report.status == "Fail"
     bad = [c for c in report.cases if not c["ok"]]
     assert bad and all(c["expected"] != c["actual"] for c in bad)
+
+
+# -- the shared classification sweep ------------------------------------------------
+
+SHARED = {"family": "A", "rank": 3, "dim_bound": 40, "depth": 2, "seed": 0}
+
+
+@pytest.fixture
+def sweep_work(monkeypatch):
+    """Counts the module multisets and element lists the sweep builds, starting
+    from an empty slot."""
+    counts = {"multisets": 0, "elements": 0}
+    multisets, elements = verify.freudenthal_multiplicities, verify.sweep_elements
+
+    def counted_multisets(*args, **kwargs):
+        counts["multisets"] += 1
+        return multisets(*args, **kwargs)
+
+    def counted_elements(*args, **kwargs):
+        counts["elements"] += 1
+        return elements(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "freudenthal_multiplicities", counted_multisets)
+    monkeypatch.setattr(verify, "sweep_elements", counted_elements)
+    verify.classification_sweep.cache_clear()
+    yield counts
+    verify.classification_sweep.cache_clear()
+
+
+def _stable_json(report):
+    payload = report.to_json()
+    del payload["elapsed_seconds"]
+    return json.dumps(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize("first,second", [("c99", "bounds"), ("bounds", "c99")])
+def test_second_check_on_the_same_input_reads_the_first_ones_sweep(sweep_work, first, second):
+    run_check(first, **SHARED)
+    built = dict(sweep_work)
+    assert built["elements"] == 1 and built["multisets"] > 0
+    run_check(second, **SHARED)
+    assert sweep_work == built
+
+
+@pytest.mark.parametrize("change", [
+    {"family": "B"}, {"dim_bound": 41}, {"depth": 1}, {"seed": 1},
+])
+def test_any_other_input_runs_a_fresh_sweep(sweep_work, change):
+    run_check("c99", **SHARED)
+    built = dict(sweep_work)
+    run_check("bounds", **{**SHARED, **change})
+    assert sweep_work["elements"] == built["elements"] + 1
+    assert sweep_work["multisets"] > built["multisets"]
+    # The slot now holds the new input, so the first one is swept again.
+    run_check("c99", **SHARED)
+    assert sweep_work["elements"] == built["elements"] + 2
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("first,second", [("c99", "bounds"), ("bounds", "c99")])
+def test_shared_and_fresh_sweeps_give_the_same_reports(depth, first, second):
+    options = {**SHARED, "depth": depth}
+    verify.classification_sweep.cache_clear()
+    shared = [_stable_json(run_check(check, **options)) for check in (first, second)]
+    fresh = []
+    for check in (first, second):
+        verify.classification_sweep.cache_clear()
+        fresh.append(_stable_json(run_check(check, **options)))
+    assert shared == fresh
+
+
+def test_the_shared_sweep_is_read_only():
+    datum = build_root_datum("A", 3)
+    modules, elements, outcomes = verify.classification_sweep(datum, 40, 2, 0)
+    assert type(modules) is MappingProxyType and type(outcomes) is MappingProxyType
+    assert type(elements) is tuple
+    assert all(type(pairs) is tuple for pairs in outcomes.values())
+    with pytest.raises(TypeError):
+        modules[datum.weight((1, 0, 0))] = 0
+    with pytest.raises(TypeError):
+        outcomes[datum.weight((0, 1, 0))] = ()
+    # modules maps each module, in (dimension, coordinates) order, to its dimension.
+    assert list(modules.items()) == [
+        (lam, dim) for dim, lam in verify.enumerate_modules(datum, 40, with_dimensions=True)
+    ]
+    assert list(modules) == verify.enumerate_modules(datum, 40)
+    assert modules[datum.weight((0, 1, 0))] == 6
+
+
+@pytest.mark.parametrize("rejected,error,match", [
+    ({"depth": 3}, ValueError, "stratum depth must be 1 or 2"),
+    ({"family": "G", "rank": 2, "dim_bound": 1_100_000}, ResourceLimitError,
+     "exceeds the largest module dimension"),
+    ({"family": "A", "rank": 2, "dim_bound": 1_000_000}, ResourceLimitError,
+     "exceeding the enumeration bound"),
+])
+def test_a_rejected_input_raises_every_time_and_keeps_the_slot(sweep_work, rejected, error, match):
+    run_check("c99", **SHARED)
+    for check in ("c99", "bounds"):
+        with pytest.raises(error, match=match):
+            run_check(check, **{**SHARED, **rejected})
+    assert verify.classification_sweep.cache_info().currsize == 1
+    before = dict(sweep_work)
+    run_check("bounds", **SHARED)
+    assert sweep_work == before
