@@ -103,6 +103,25 @@ def permitted_almost_simple(datum):
     return set()
 
 
+def root_pair_almost_simple(datum):
+    """The permitted modules whose almost-simple witnesses all hold two roots
+    in their kernel: the natural module of D_n (A3's L(omega2) is that of
+    D3) and, on D4, its two triality images.  On the natural module the
+    eigenvalues are the t_i^(+-1); a root e_i -+ e_j in the kernel makes
+    t_i = t_j^(+-1), so t_i and t_i^-1 each occur at least twice, and an
+    almost simple spectrum forces t_i = t_j = +-1, which puts e_i +- e_j in
+    the kernel too.  A depth-1 sweep therefore finds no witness on them."""
+    fam, n = datum.family, datum.rank
+    if fam == "A" and n == 3:
+        return {_unit(n, 1)}
+    if fam == "D":
+        out = {_unit(n, 0)}
+        if n == 4:
+            out.update({_unit(n, 2), _unit(n, 3)})
+        return out
+    return set()
+
+
 def multiplicity_cap(datum, dim):
     """Cap on eigenvalue multiplicities of an almost-simple outcome on a
     module of the given dimension."""

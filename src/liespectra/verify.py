@@ -455,21 +455,28 @@ def verify_classification_sweep(
 ) -> VerificationReport:
     """Check that almost-simple outcomes for non-regular non-central generic
     elements occur exactly on the permitted modules, with at least one
-    witnessing stratum each."""
+    witnessing stratum each.  Depth 1 has no root-pair strata, so there the
+    permitted modules of ``tables.root_pair_almost_simple`` are expected to
+    have no witness."""
     rec = _Recorder(
         f"c99:{datum.name}:dim<={dim_bound}:depth={stratum_depth}:seed={seed}",
         notes=(SWEEP_SCOPE_NOTE, validity_note(datum)),
     )
     modules, _, outcomes = classification_sweep(datum, dim_bound, stratum_depth, seed)
     permitted = tables.permitted_almost_simple(datum)
+    pair_only = tables.root_pair_almost_simple(datum) if stratum_depth == 1 else set()
     for lam, dim in modules.items():
-        expect = lam.coords in permitted
+        expect = lam.coords in permitted and lam.coords not in pair_only
         witnesses = outcomes.get(lam, [])
         label = f"{lam} (dim {dim})"
         rec.check(
             label,
             expect == bool(witnesses),
-            expected="almost-simple witness" if expect else "no witness",
+            expected=(
+                "almost-simple witness" if expect
+                else "no witness at depth 1 (root-pair strata only)" if lam.coords in pair_only
+                else "no witness"
+            ),
             actual=(
                 f"almost-simple witness [{'; '.join(s.label for s, _ in witnesses)}]"
                 if witnesses

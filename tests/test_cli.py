@@ -7,9 +7,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import liespectra.cli as cli
+from liespectra import tables
 from liespectra.cli import run
 
 
@@ -124,11 +125,13 @@ def test_verify_command_witnesses_json(capsys):
     assert payload["status"] == "Pass"
 
 
-def test_verify_command_exit_one_on_fail(capsys):
-    # The depth-1 sweep misses the pair-kernel witnesses for A3.
+def test_verify_command_exit_one_on_fail(capsys, monkeypatch):
+    # A permitted list without A3's modules makes each of their witnesses a
+    # mismatch.
+    monkeypatch.setattr(tables, "permitted_almost_simple", lambda datum: set())
     code, out, _ = invoke(
         capsys, "verify", "--check", "c99", "--family", "A", "--rank", "3",
-        "--dim-bound", "40", "--depth", "1",
+        "--dim-bound", "40", "--depth", "2",
     )
     assert code == 1
     assert "MISMATCH" in out
@@ -575,6 +578,9 @@ def verify_argv(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(verify_argv())
+# Depth 1 reaches no witness on the 8-dimensional D4 modules, which c99 expects.
+@example(["verify", "--check", "c99", "--family", "D", "--rank", "4", "--dim-bound", "8",
+          "--depth", "1", "--seed", "0", "--samples", "0"])
 def test_verify_argv_is_answered_or_rejected_never_crashes(argv):
     # Exit 1 is a verification Fail, which these checks must not report either.
     answered_or_rejected(argv)

@@ -3,7 +3,7 @@ from types import MappingProxyType
 
 import pytest
 
-from liespectra import verify
+from liespectra import tables, verify
 from liespectra.exceptions import ResourceLimitError
 from liespectra import (
     build_root_datum,
@@ -64,15 +64,18 @@ def test_sweep_small_groups_at_depth_one():
 
 def test_sweep_a3_needs_pair_strata():
     # The 6-dimensional module's witnesses force two vanishing roots, so the
-    # depth-1 sweep misses them and the check reports the gap; pair strata
-    # close it.
+    # depth-1 sweep has none, as the check expects there; pair strata supply
+    # them.
     a3 = build_root_datum("A", 3)
     shallow = verify_classification_sweep(a3, 40, 1, seed=0)
-    assert shallow.status == "Fail"
-    missing = [c for c in shallow.cases if not c["ok"]]
-    assert any("[0,1,0]" in c["label"] for c in missing)
+    assert shallow.status == "Pass", [c for c in shallow.cases if not c["ok"]]
+    case = next(c for c in shallow.cases if "[0,1,0]" in c["label"])
+    assert case["expected"] == "no witness at depth 1 (root-pair strata only)"
+    assert case["actual"] == "no witness"
     deep = verify_classification_sweep(a3, 40, 2, seed=0)
     assert deep.status == "Pass", [c for c in deep.cases if not c["ok"]]
+    case = next(c for c in deep.cases if "[0,1,0]" in c["label"])
+    assert case["actual"].startswith("almost-simple witness [")
 
 
 def test_sweep_d4_triality_modules_at_depth_two():
@@ -168,7 +171,28 @@ def test_deeper_sweeps_only_add_permitted_witnesses():
         assert hits2 <= tables.permitted_almost_simple(datum)
 
 
-def test_failed_reports_carry_mismatch_pairs():
+@pytest.mark.parametrize("family,rank,bound", [("D", 4, 8), ("D", 5, 10), ("D", 6, 12)])
+@pytest.mark.parametrize("seed", [0, 8])
+def test_depth_one_finds_no_witness_on_the_root_pair_modules(family, rank, bound, seed):
+    # Each root-pair module is permitted and witnessed at depth 2 only; c99
+    # passes at both depths.
+    datum = build_root_datum(family, rank)
+    pair_only = tables.root_pair_almost_simple(datum)
+    assert pair_only and pair_only <= tables.permitted_almost_simple(datum)
+    for depth in (1, 2):
+        report = run_check("c99", family=family, rank=rank, dim_bound=bound, depth=depth,
+                           seed=seed)
+        assert report.status == "Pass", report.cases
+        _, _, outcomes = verify.classification_sweep(datum, bound, depth, seed)
+        assert {lam.coords for lam in outcomes} & pair_only == (pair_only if depth == 2 else set())
+        expected = [c["expected"] for c in report.cases]
+        assert expected.count("no witness at depth 1 (root-pair strata only)") == (
+            len(pair_only) if depth == 1 else 0)
+
+
+def test_failed_reports_carry_mismatch_pairs(monkeypatch):
+    # Without the root-pair list, depth 1 expects a witness on A3 L(omega2).
+    monkeypatch.setattr(tables, "root_pair_almost_simple", lambda datum: set())
     a3 = build_root_datum("A", 3)
     report = verify_classification_sweep(a3, 40, 1, seed=0)
     assert report.status == "Fail"
