@@ -78,7 +78,6 @@ _EXPORTS = {
         "SpectrumClass",
         "SpectrumKind",
         "classify",
-        "classify_multiset",
         "is_almost_simple",
         "spectrum",
         "spectrum_of_multiset",

@@ -78,9 +78,6 @@ class WeightMultiset(FrozenRecord):
     def support(self):
         return frozenset(self.counts)
 
-    def nonzero_multiplicities_all_one(self) -> bool:
-        return all(m == 1 for c, m in self.counts.items() if any(c))
-
     def sorted_entries(self):
         """(coords, multiplicity) pairs sorted by height deficit below the
         highest weight, then lexicographically (the CLI's report order)."""

@@ -209,12 +209,9 @@ class RootDatum:
         raw = [[d[k] * adj[k][i] for k in range(n)] for i in range(n)]
         g = math.gcd(det, *(x for row in raw for x in row))
         # Invariant form on the weight lattice:
-        # form_matrix[i][j] = (omega_i, omega_j) = form_scaled[i][j] / form_denominator.
+        # (omega_i, omega_j) = form_scaled[i][j] / form_denominator.
         self.form_denominator = det // g
         self.form_scaled = tuple(tuple(x // g for x in row) for row in raw)
-        self.form_matrix = tuple(
-            tuple(Fraction(x, self.form_denominator) for x in row) for row in self.form_scaled
-        )
 
         self.rho = Weight((1,) * n, self)
         self.simple_roots = tuple(Weight(c, self) for c in self.simple_root_coords)
@@ -257,7 +254,7 @@ class RootDatum:
         )
         self._indices = frozenset(range(n))
         self._weyl_orders = {}
-        self._levels = {}  # dominant coords -> weights.weight_level
+        self._levels = {}  # dominant coords -> (weights.weight_level, True)
         self._level_steps = None  # weights._level_steps
         self._strata = {}  # depth -> torus.canonical_root_strata
         self._orbit_templates = {}  # support -> kernels._orbit_template

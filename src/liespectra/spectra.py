@@ -46,18 +46,11 @@ class Spectrum(FrozenRecord):
     def total(self):
         return sum(m for _, m in self.entries)
 
-    def as_dict(self):
-        return dict(self.entries)
-
     def multiplicity(self, value):
         for v, m in self.entries:
             if v == value:
                 return m
         return 0
-
-    def inversion_symmetric(self):
-        d = self.as_dict()
-        return all(d.get(-v, 0) == m for v, m in d.items())
 
 
 _set_entries = Spectrum.entries.__set__
@@ -175,12 +168,6 @@ def almost_simple_class(s: TorusElement, multiset: WeightMultiset) -> SpectrumCl
         return None
     return _spectrum_class([s.decode({r: counts[r]}, b)[0][0] for r in heavy],
                            max(counts.values(), default=0))
-
-
-def classify_multiset(s: TorusElement, multiset: WeightMultiset) -> SpectrumClass:
-    """``classify(spectrum_of_multiset(s, multiset))``: ``almost_simple_class``,
-    or the full spectrum's class where that is None."""
-    return almost_simple_class(s, multiset) or classify(spectrum_of_multiset(s, multiset))
 
 
 def is_almost_simple(sp: Spectrum) -> bool:

@@ -62,10 +62,6 @@ class ValueGroupElement(FrozenRecord):
     def identity(k):
         return ValueGroupElement(Fraction(0), (0,) * k)
 
-    @property
-    def is_identity(self):
-        return self.torsion == 0 and not any(self.free)
-
     def __add__(self, other):
         if len(self.free) != len(other.free):
             raise ValueError("value-group elements from different ambient contexts")
@@ -79,9 +75,6 @@ class ValueGroupElement(FrozenRecord):
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, k):
-        return ValueGroupElement((k * self.torsion) % 1, tuple(k * a for a in self.free))
 
     def sort_key(self):
         return (self.torsion, self.free)
@@ -428,6 +421,12 @@ def stratum_torsion_decorations(spec: StratumSpec):
     return out or [{}]
 
 
+def check_stratum_depth(depth: int):
+    """Raise ValueError for a stratum depth other than 1 or 2."""
+    if depth not in (1, 2):
+        raise ValueError(f"stratum depth must be 1 or 2, got {depth}")
+
+
 def canonical_root_strata(datum: RootDatum, depth: int):
     """Canonical root-kernel strata up to Weyl conjugacy.
 
@@ -444,8 +443,7 @@ def canonical_root_strata(datum: RootDatum, depth: int):
     at depth 2; more than MAX_GENERATOR_SETS raises ResourceLimitError
     before any is searched.
     """
-    if depth not in (1, 2):
-        raise ValueError(f"stratum depth must be 1 or 2, got {depth}")
+    check_stratum_depth(depth)
     strata = datum._strata.get(depth)
     if strata is None:
         p = len(datum.positive_root_coords)

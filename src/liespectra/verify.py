@@ -44,6 +44,7 @@ from .torus import (
     TorusElement,
     ValueGroupElement,
     canonical_root_strata,
+    check_stratum_depth,
     evaluate,
     generic_regular_element,
     generic_stratum_element,
@@ -343,9 +344,8 @@ def _coordinate_caps(datum: RootDatum, dim_bound: int):
     return tuple(caps)
 
 
-def enumerate_modules(datum: RootDatum, dim_bound: int, include_zero=False, *,
-                      with_dimensions=False):
-    """Dominant weights with Weyl dimension within the bound, sorted by
+def enumerate_modules(datum: RootDatum, dim_bound: int, *, with_dimensions=False):
+    """Nonzero dominant weights with Weyl dimension within the bound, sorted by
     (dimension, coordinates); with ``with_dimensions``, (dimension, Weight)
     pairs in that order, each dimension the one its last prefix check
     computed.  A negative bound raises ValueError.  A candidate box
@@ -378,7 +378,7 @@ def enumerate_modules(datum: RootDatum, dim_bound: int, include_zero=False, *,
                 break
             if i + 1 < n:
                 rec(i + 1)
-            elif include_zero or any(coords):
+            elif any(coords):
                 out.append((dim, tuple(coords)))
             c += 1
         coords[i] = 0
@@ -432,11 +432,12 @@ def classification_sweep(datum: RootDatum, dim_bound: int, depth: int, seed: int
     would keep one sweep per group alive, and a caller who asks for the same
     few groups over and over (a benchmark reusing its inputs) would then time
     memo reads instead of sweeps, as for `kernels.module_walk`.  A rejected
-    input raises on every call and leaves the slot as it was.  The result is
-    shared with every later reader, so it is read-only: tuples, mapping
-    proxies and frozen values.  ``classification_sweep.cache_clear()``
-    empties the slot.
+    input raises on every call and leaves the slot as it was; a bad depth is
+    rejected before any module is listed.  The result is shared with every
+    later reader, so it is read-only: tuples, mapping proxies and frozen
+    values.  ``classification_sweep.cache_clear()`` empties the slot.
     """
+    check_stratum_depth(depth)
     modules = {lam: dim for dim, lam in enumerate_modules(datum, dim_bound, with_dimensions=True)}
     elements = tuple(sweep_elements(datum, depth, seed))
     outcomes = {}
@@ -548,35 +549,6 @@ def _sample_epsilon_tokens(datum: RootDatum, rng: random.Random):
                 powers[k] = powers.get(k, 0) - e
         tokens.append(EpsilonToken(-total_t, {k: e for k, e in powers.items() if e}))
     return tokens
-
-
-def sample_torus_element(datum: RootDatum, rng: random.Random) -> TorusElement:
-    """Random torus element for property batteries: a mix of generic
-    assignments (usually regular), epsilon-style tuples for the classical
-    families, and generic stratum elements (never regular)."""
-    roll = rng.random()
-    if roll < 0.4:
-        k = 2
-        assignments = [
-            ValueGroupElement(
-                Fraction(rng.choice((0, 0, 0, 1, 2, 3)), rng.choice((2, 3, 4))) % 1,
-                tuple(rng.randrange(-3, 4) for _ in range(k)),
-            )
-            for _ in range(datum.rank)
-        ]
-        return TorusElement(datum, tuple(assignments), label="random-assignments")
-    if roll < 0.7 and datum.family in "ABCD":
-        return torus_from_epsilon(
-            datum, _sample_epsilon_tokens(datum, rng), label="random-epsilon"
-        )
-    strata = canonical_root_strata(datum, depth=rng.choice((1, 2)))
-    if not strata:
-        return generic_regular_element(datum)
-    kernel = rng.choice(strata)
-    spec = StratumSpec(datum, kernel)
-    decorations = stratum_torsion_decorations(spec)
-    spec = StratumSpec(datum, kernel, rng.choice(decorations))
-    return generic_stratum_element(spec, seed=rng.randrange(1 << 30))
 
 
 def verify_natural_module_regularity(

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .exceptions import DatumMismatchError, ResourceLimitError
 from .rootdata import FrozenRecord, RootDatum, Weight
@@ -56,11 +56,6 @@ def dominance_compare(lam: Weight, mu: Weight) -> Dominance:
     if all(c <= 0 for c in coeffs):
         return Dominance.SECOND_SUCCEEDS
     return Dominance.INCOMPARABLE
-
-
-def dominates(lam: Weight, mu: Weight) -> bool:
-    """lam >= mu in the dominance order."""
-    return dominance_compare(lam, mu) in (Dominance.EQUAL, Dominance.FIRST_SUCCEEDS)
 
 
 def is_radical(mu: Weight) -> bool:
@@ -164,38 +159,55 @@ def _level_steps(datum):
     return steps
 
 
-def weight_level(lam: Weight) -> int:
-    """Level of a dominant weight: 1 + the longest chain of dominant weights
-    strictly below it in the dominance order.
+def _steps_mask(coords, steps):
+    """Bits of the positive roots that leave the dominant coords dominant."""
+    _, blocked, _, every = steps
+    out = 0
+    for c, masks in zip(coords, blocked):
+        if c < len(masks):
+            out |= masks[c]
+    return every & ~out
 
-    Chains between dominant weights refine into single positive-root steps
-    through dominant weights, so the longest chain satisfies the local
-    recursion over the dominant lam - beta for positive roots beta.  Only
-    the minimal such beta in the root order are needed: if beta' < beta,
-    then lam - beta' > lam - beta, so lam - beta' has the higher level.
-    ``_level_steps`` lists them.  The recursion is unrolled onto an
-    explicit stack, so long chains cannot exhaust the interpreter's
-    recursion limit.  Levels are memoized on the datum.
+
+def _capped_level(steps, known, top, cap):
+    """min(weight_level, cap) of the dominant coordinates top, for an
+    integer cap >= 1 or math.inf (the exact level).
+
+    min(level(c), k) is 1 for k = 1, and otherwise 1 + the largest
+    min(level(c'), k - 1) over the minimal steps c' (1 if there is none), so
+    the search stops k - 1 steps below top, and at k = 2 it only asks
+    whether any step exists.  known maps coordinates to (value, exact): a
+    value below its cap is the exact level, one at its cap only a lower
+    bound, searched again under a larger cap.  Under cap math.inf every
+    value stored is exact.  The search runs on an explicit stack, so long
+    chains cannot exhaust the interpreter's recursion limit.
     """
-    if not lam.is_dominant:
-        raise ValueError(f"weight level needs a dominant weight, got {lam}")
-    datum = lam.datum
-    cache = datum._levels
-    roots, blocked, above, every = _level_steps(datum)
+    roots, _, above, _ = steps
+
+    def value(coords, k):
+        """min(level, k) if it is known or k <= 2, else None."""
+        if k == 1:
+            return 1
+        v, exact = known.get(coords, (0, False))
+        if exact or v >= k:
+            return min(v, k)
+        if k == 2:
+            v = 2 if _steps_mask(coords, steps) else 1
+            known[coords] = (v, v == 1)
+            return v
+        return None
+
     below = {}  # coords -> dominant coords one minimal step lower
-    stack = [lam.coords]
+    stack = [(top, cap)]
     while stack:
-        coords = stack[-1]
-        if coords in cache:
+        coords, k = stack[-1]
+        if value(coords, k) is not None:
             stack.pop()
             continue
         lower = below.get(coords)
         if lower is None:
-            out = 0
-            for c, masks in zip(coords, blocked):
-                if c < len(masks):
-                    out |= masks[c]
-            allowed = rest = every & ~out
+            # The minimal steps: allowed roots with no allowed root below them.
+            allowed = rest = _steps_mask(coords, steps)
             while rest:
                 bit = rest & -rest
                 allowed &= ~above[bit.bit_length() - 1]
@@ -205,13 +217,32 @@ def weight_level(lam: Weight) -> int:
                 bit = allowed & -allowed
                 lower.append(tuple(map(sub, coords, roots[bit.bit_length() - 1])))
                 allowed ^= bit
-            missing = [c for c in lower if c not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-        cache[coords] = 1 + max((cache[c] for c in lower), default=0)
+        vals = [value(c, k - 1) for c in lower]
+        if None in vals:
+            stack.extend((c, k - 1) for c, v in zip(lower, vals) if v is None)
+            continue
+        v = 1 + max(vals, default=0)
+        known[coords] = (v, v < k)
         stack.pop()
-    return cache[lam.coords]
+    return value(top, cap)
+
+
+def weight_level(lam: Weight) -> int:
+    """Level of a dominant weight: 1 + the longest chain of dominant weights
+    strictly below it in the dominance order.
+
+    Chains between dominant weights refine into single positive-root steps
+    through dominant weights, so the longest chain satisfies the local
+    recursion over the dominant lam - beta for positive roots beta.  Only
+    the minimal such beta in the root order are needed: if beta' < beta,
+    then lam - beta' > lam - beta, so lam - beta' has the higher level.
+    ``_level_steps`` lists them, and ``_capped_level`` runs the recursion
+    with no cap.  Levels are memoized on the datum.
+    """
+    if not lam.is_dominant:
+        raise ValueError(f"weight level needs a dominant weight, got {lam}")
+    datum = lam.datum
+    return _capped_level(_level_steps(datum), datum._levels, lam.coords, math.inf)
 
 
 def is_minuscule(lam: Weight) -> bool:
@@ -265,13 +296,24 @@ def level_sets(datum: RootDatum, max_level: int, height_bound: int):
     bound, restricted to levels <= max_level.
 
     A weight's level never depends on the bound; the bound only controls
-    which weights are enumerated.
+    which weights are enumerated.  Each level is searched only up to
+    max_level + 1 (``_capped_level``), which decides whether it is listed;
+    those capped values are kept for this call only, never in the datum's
+    exact memo.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    out = []
-    for w in enumerate_dominant_by_sum(datum, height_bound):
-        lvl = weight_level(w)
-        if lvl <= max_level:
-            out.append(LevelAssignment(w, lvl))
-    return tuple(out)
+    steps, known, levels = _level_steps(datum), {}, {}
+    listed = enumerate_dominant_by_sum(datum, height_bound)
+    # Lowest first by height (det times the sum of the simple-root
+    # coefficients, which every step lowers), so a listed weight is searched
+    # under the full cap before a listed weight above it reads it.  At max
+    # level 1 a weight only asks whether any step exists, so the order is
+    # moot and the sort is skipped.
+    heights = [sum(row) for row in datum.cartan_t_adj]
+    order = listed if max_level == 1 else sorted(
+        listed, key=lambda w: sum(map(mul, w.coords, heights)))
+    for w in order:
+        levels[w.coords] = _capped_level(steps, known, w.coords, max_level + 1)
+    return tuple(LevelAssignment(w, levels[w.coords]) for w in listed
+                 if levels[w.coords] <= max_level)

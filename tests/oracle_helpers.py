@@ -6,20 +6,39 @@ simple-root downward closure over all intermediate weights, multiplicities
 by the alternating Kostant partition-function sum over the full Weyl group,
 characters by summing Fractions over the fundamental weights, Kronecker
 products by adding values pairwise in the value group, root data from the
-Bourbaki epsilon-realizations and a Fraction Gram inverse.
+Bourbaki epsilon-realizations and a Fraction Gram inverse, tensor product
+decompositions by Brauer's formula.  ``sample_torus_element`` draws the
+torus elements of the property batteries.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
+from liespectra import kernels
 from liespectra.linalg import hermite_normal_form
+from liespectra.mult import freudenthal_multiplicities
 from liespectra.spectra import Spectrum
-from liespectra.torus import ValueGroupElement
+from liespectra.torus import (
+    StratumSpec,
+    TorusElement,
+    ValueGroupElement,
+    canonical_root_strata,
+    generic_regular_element,
+    generic_stratum_element,
+    stratum_torsion_decorations,
+    torus_from_epsilon,
+)
+from liespectra.verify import _sample_epsilon_tokens
+
+# The 32 simple types of rank <= 8, the range every per-type oracle covers.
+RANK_AT_MOST_8 = [f"{f}{r}" for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                  for r in range(lo, 9)] + ["E6", "E7", "E8", "F4", "G2"]
 
 
 def root_coefficients_oracle(datum, coords):
@@ -147,7 +166,6 @@ def root_datum_oracle(family, rank):
     return SimpleNamespace(
         cartan=tuple(cartan),
         _d=tuple(int(x / 2) for x in lengths),
-        form_matrix=form_matrix,
         form_denominator=den,
         form_scaled=tuple(tuple(int(x * den) for x in row) for row in form_matrix),
         cartan_det=det,
@@ -314,13 +332,14 @@ def classical_positive_roots_oracle(family, rank):
 
 def weyl_dimension_oracle(datum, coords):
     """Weyl's product prod (lam + rho, b) / (rho, b) over the positive roots
-    b, in Fractions on the invariant form (no coroot pairings).  The roots
+    b, in Fractions on the invariant form (no coroot pairings), taken as
+    ``form_scaled``: the common denominator cancels in the ratio.  The roots
     are the datum's, which ``positive_roots_oracle`` checks elsewhere."""
     lam_rho = [c + 1 for c in coords]
     num = den = Fraction(1)
     for b in datum.positive_root_coords:
         # (mu, b) = sum_i mu_i (omega_i, b)
-        col = [sum(row[j] * b[j] for j in range(datum.rank)) for row in datum.form_matrix]
+        col = [sum(row[j] * b[j] for j in range(datum.rank)) for row in datum.form_scaled]
         num *= sum(x * y for x, y in zip(lam_rho, col))
         den *= sum(col)
     dim = num / den
@@ -538,3 +557,65 @@ def canonical_root_strata_oracle(datum, depth):
             frontier = new
         minima.add(min(seen))
     return sorted(minima)
+
+
+def is_identity(value):
+    """Is the value-group element the identity (torsion 0, free part 0)?"""
+    return value.torsion == 0 and not any(value.free)
+
+
+def inversion_symmetric(sp):
+    """Does every value v of the spectrum have -v with the same multiplicity?"""
+    d = dict(sp.entries)
+    return all(d.get(-v, 0) == m for v, m in d.items())
+
+
+def nonzero_multiplicities_all_one(multiset):
+    """Has every nonzero weight of the multiset multiplicity 1?"""
+    return all(m == 1 for c, m in multiset.counts.items() if any(c))
+
+
+def sample_torus_element(datum, rng: random.Random) -> TorusElement:
+    """Random torus element for property batteries: a mix of generic
+    assignments (usually regular), epsilon-style tuples for the classical
+    families, and generic stratum elements (never regular)."""
+    roll = rng.random()
+    if roll < 0.4:
+        k = 2
+        assignments = [
+            ValueGroupElement(
+                Fraction(rng.choice((0, 0, 0, 1, 2, 3)), rng.choice((2, 3, 4))) % 1,
+                tuple(rng.randrange(-3, 4) for _ in range(k)),
+            )
+            for _ in range(datum.rank)
+        ]
+        return TorusElement(datum, tuple(assignments), label="random-assignments")
+    if roll < 0.7 and datum.family in "ABCD":
+        return torus_from_epsilon(
+            datum, _sample_epsilon_tokens(datum, rng), label="random-epsilon"
+        )
+    strata = canonical_root_strata(datum, depth=rng.choice((1, 2)))
+    if not strata:
+        return generic_regular_element(datum)
+    kernel = rng.choice(strata)
+    spec = StratumSpec(datum, kernel)
+    decorations = stratum_torsion_decorations(spec)
+    spec = StratumSpec(datum, kernel, rng.choice(decorations))
+    return generic_stratum_element(spec, seed=rng.randrange(1 << 30))
+
+
+def brauer_klimyk_oracle(lam, mu):
+    """{nu coords: N_nu} with L(lam) x L(mu) = sum N_nu L(nu), by Brauer's
+    formula in Klimyk's form: N_nu = sum of m_lam(beta) sign(w) over the
+    weights beta of L(lam) with w(mu + beta + rho) - rho = nu dominant; a
+    beta with mu + beta + rho singular adds nothing.  ``kernels.dominant_rep``
+    gives w(mu + beta + rho) and a word for w, whose parity is its sign."""
+    datum = lam.datum
+    out = {}
+    for beta, m in freudenthal_multiplicities(lam).counts.items():
+        rep, word = kernels.dominant_rep(datum, tuple(a + b + 1 for a, b in zip(mu.coords, beta)))
+        if 0 in rep:
+            continue
+        nu = tuple(c - 1 for c in rep)
+        out[nu] = out.get(nu, 0) + (-1) ** len(word) * m
+    return {nu: n for nu, n in out.items() if n}

@@ -201,18 +201,12 @@ def test_walk_orbit_rejects_a_non_dominant_start():
         kernels.walk_orbit(parse_group("A2"), (1, -1))
 
 
-# Every supported type of rank <= 8.
-SMALL_TYPES = [f"{f}{r}" for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
-               for r in range(lo, 9)] + ["E6", "E7", "E8", "F4", "G2"]
-assert len(SMALL_TYPES) == 32
-
-
 def fresh_datum(name):
     """A datum outside build_root_datum's cache, so it has no templates yet."""
     return RootDatum(name[0], int(name[1:]))
 
 
-@pytest.mark.parametrize("name", SMALL_TYPES)
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
 def test_generic_weight_names_every_coroot_class(name):
     # For every support, the pairing of the generic weight with a positive
     # coroot is 0 iff the coroot's coefficients on the support are, and
@@ -240,7 +234,7 @@ def test_generic_weight_names_every_coroot_class(name):
 MODULE_DIM_BOUND = 400
 
 
-@pytest.mark.parametrize("name", SMALL_TYPES)
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
 def test_orbit_templates_match_the_oracle_on_small_modules(name):
     # Every module of dimension <= MODULE_DIM_BOUND (and E8's 3875), on a
     # datum whose templates are built here: the index of its dominant
@@ -248,7 +242,7 @@ def test_orbit_templates_match_the_oracle_on_small_modules(name):
     datum = fresh_datum(name)
     bound = 3875 if name == "E8" else MODULE_DIM_BOUND
     supports = set()
-    for lam in enumerate_modules(datum, bound, include_zero=True):
+    for lam in (datum.zero(), *enumerate_modules(datum, bound)):
         doms = kernels.dominant_subdominants(datum, lam.coords)
         expected = oracle_index(datum, doms)
         assert kernels.orbit_expand(datum, doms) == expected
@@ -259,7 +253,7 @@ def test_orbit_templates_match_the_oracle_on_small_modules(name):
 SUPPORT_ORBIT_LIMIT = 1_000
 
 
-@pytest.mark.parametrize("name", SMALL_TYPES)
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
 def test_orbit_templates_match_the_oracle_on_every_small_support(name):
     # Every support whose orbits have at most SUPPORT_ORBIT_LIMIT weights,
     # with two dominant weights of different values on it in one call.

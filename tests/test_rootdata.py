@@ -36,15 +36,6 @@ POSITIVE_COUNTS = [
 ]
 
 
-RANK_AT_MOST_8 = (
-    [f"A{n}" for n in range(1, 9)]
-    + [f"B{n}" for n in range(2, 9)]
-    + [f"C{n}" for n in range(2, 9)]
-    + [f"D{n}" for n in range(4, 9)]
-    + ["E6", "E7", "E8", "F4", "G2"]
-)
-
-
 @pytest.mark.parametrize("family,rank,count", POSITIVE_COUNTS)
 def test_positive_root_counts(family, rank, count):
     datum = build_root_datum(family, rank)
@@ -95,11 +86,11 @@ def test_form_normalization_and_cartan_recovery(name):
             assert val == datum.cartan[i][j]
 
 
-ORACLE_ATTRIBUTES = ("cartan", "_d", "form_matrix", "form_scaled", "form_denominator",
+ORACLE_ATTRIBUTES = ("cartan", "_d", "form_scaled", "form_denominator",
                      "cartan_det", "cartan_t_adj", "epsilon_map")
 
 
-@pytest.mark.parametrize("name", RANK_AT_MOST_8 + [f"A{n}" for n in range(9, 13)])
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8 + [f"A{n}" for n in range(9, 13)])
 def test_datum_matches_the_epsilon_realization_oracle(name):
     # The datum comes from the Dynkin diagram and one integer adjugate; the
     # oracle from the epsilon-realization and a Fraction Gram inverse.
@@ -109,7 +100,7 @@ def test_datum_matches_the_epsilon_realization_oracle(name):
         assert getattr(datum, attr) == getattr(oracle, attr), attr
 
 
-@pytest.mark.parametrize("name", RANK_AT_MOST_8)
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
 def test_highest_root_dominates_every_positive_root(name):
     datum = parse_group(name)
     for root in datum.positive_roots:
@@ -272,7 +263,7 @@ def test_parabolic_orders_match_orbit_oracle(name):
     assert datum.weyl_order() == datum.weyl_order(range(datum.rank)) <= 51840
 
 
-@pytest.mark.parametrize("name", RANK_AT_MOST_8)
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
 def test_positive_roots_match_reflection_closure(name):
     datum = parse_group(name)
     assert tuple(r.coords for r in datum.positive_roots) == oh.positive_roots_oracle(datum)
@@ -301,7 +292,7 @@ def test_positive_roots_match_the_coxeter_number(name, h):
     assert datum.highest_root.coords == datum.positive_root_coords[-1]
 
 
-@pytest.mark.parametrize("name", RANK_AT_MOST_8)
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
 def test_root_lengths_and_coroot_pairings_match_the_form(name):
     datum = parse_group(name)
     for root, half, pairing in zip(datum.positive_roots, datum.root_half_lengths,

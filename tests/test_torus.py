@@ -34,7 +34,7 @@ from liespectra.spectra import SpectrumKind, classify
 from liespectra.torus import (
     EpsilonToken, TorusElement, parse_epsilon_shorthand, stratum_torsion_decorations,
 )
-from liespectra.verify import sample_torus_element, sweep_elements
+from liespectra.verify import sweep_elements
 
 
 def val(torsion, free):
@@ -52,9 +52,8 @@ def test_value_group_arithmetic():
     b = val("3/4", (0, 2))
     assert (a + b).torsion == Fraction(1, 4)
     assert (a + b).free == (1, 2)
-    assert (a - a).is_identity
+    assert oh.is_identity(a - a)
     assert (-b).torsion == Fraction(1, 4)
-    assert a.scale(2) == val(0, (2, 0))
     assert val(0, ()).render() == "1"
     assert val("1/2", (0,)).render() == "-1"
     assert val("1/2", (2, -1)).render() == "-a^2*b^-1"
@@ -66,7 +65,7 @@ def test_identity_assignments_are_central():
     assert is_central(s)
     assert not is_regular(s)
     # Central elements act trivially on radical weights.
-    assert evaluate(s, a2.weight((1, 1))).is_identity
+    assert oh.is_identity(evaluate(s, a2.weight((1, 1))))
 
 
 def test_central_nonidentity_element_is_not_regular():
@@ -74,14 +73,14 @@ def test_central_nonidentity_element_is_not_regular():
     s = torus_element(a2, [val("1/3", ()), val("2/3", ())])
     assert is_central(s)
     assert not is_regular(s)
-    assert not evaluate(s, a2.fundamental_weight(1)).is_identity
+    assert not oh.is_identity(evaluate(s, a2.fundamental_weight(1)))
 
 
 def test_split_pair_element_of_sl4():
     a3 = build_root_datum("A", 3)
     s = torus_element(a3, [val(0, (1,)), val(0, (2,)), val(0, (1,))])
     # alpha_1 = 2w1 - w2 evaluates to the identity.
-    assert evaluate(s, a3.simple_roots[0]).is_identity
+    assert oh.is_identity(evaluate(s, a3.simple_roots[0]))
     assert not is_regular(s)
     assert not is_central(s)
     assert evaluate(s, a3.fundamental_weight(2)) == val(0, (2,))
@@ -107,7 +106,7 @@ def test_evaluate_is_linear():
         [val(Fraction(rng.randrange(4), 4), (rng.randrange(-2, 3), rng.randrange(-2, 3)))
          for _ in range(3)],
     )
-    assert evaluate(s, c3.zero()).is_identity
+    assert oh.is_identity(evaluate(s, c3.zero()))
     for _ in range(20):
         mu = c3.weight(tuple(rng.randrange(-3, 4) for _ in range(3)))
         nu = c3.weight(tuple(rng.randrange(-3, 4) for _ in range(3)))
@@ -127,7 +126,7 @@ def test_b3_minus_ones_are_not_central():
     b3 = build_root_datum("B", 3)
     s = torus_from_epsilon_text(b3, "-1,-1,-1")
     # epsilon_i - epsilon_j vanishes but the short root epsilon_3 gives -1.
-    assert evaluate(s, b3.simple_roots[0]).is_identity
+    assert oh.is_identity(evaluate(s, b3.simple_roots[0]))
     assert not is_central(s)
     assert not is_regular(s)
 
@@ -136,7 +135,7 @@ def test_equal_epsilon_values_kill_the_difference_character():
     c2 = build_root_datum("C", 2)
     s = torus_from_epsilon_text(c2, "a,a")
     # epsilon_1 - epsilon_2 is the first simple root here.
-    assert evaluate(s, c2.simple_roots[0]).is_identity
+    assert oh.is_identity(evaluate(s, c2.simple_roots[0]))
     assert not is_regular(s)
 
 
@@ -152,11 +151,6 @@ def test_generic_regular_element_separates_everything():
     assert is_regular(s)
     assert separates_weights(s, weight_set(a2.fundamental_weight(1)))
     assert separates_weights(s, weight_set(a2.weight((2, 2))))
-
-
-ALL_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
-             + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(4, 9)]
-             + ["E6", "E7", "E8", "F4", "G2"])
 
 
 def _pushed_forward(s, rng, k):
@@ -183,7 +177,7 @@ def _oracle_elements(datum, rng, draws):
     denominators up to 997 and free exponents up to 50 in size at free
     ranks 0 and 3: drawn directly (mostly regular), and pushed forward from
     root-kernel stratum elements (never regular)."""
-    elements = [sample_torus_element(datum, rng) for _ in range(draws)]
+    elements = [oh.sample_torus_element(datum, rng) for _ in range(draws)]
     elements.append(torus_element(datum, [(0, ())] * datum.rank))
     for _ in range(draws // 3):
         elements.append(torus_element(
@@ -208,7 +202,7 @@ def _oracle_elements(datum, rng, draws):
     return elements
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
 def test_character_evaluation_matches_the_fraction_oracle(name):
     datum = parse_group(name)
     rng = random.Random(f"evaluate:{name}")
@@ -232,8 +226,8 @@ def test_character_evaluation_matches_the_fraction_oracle(name):
         for w in weights:
             value = evaluate(s, w)
             assert value == oracle[w] and type(value.torsion) is Fraction, (s, w)
-        regular = all(not oracle[r].is_identity for r in roots)
-        central = all(oracle[a].is_identity for a in datum.simple_roots)
+        regular = not any(oh.is_identity(oracle[r]) for r in roots)
+        central = all(oh.is_identity(oracle[a]) for a in datum.simple_roots)
         assert is_regular(s) == regular and is_central(s) == central, s
         for ws in weight_sets:
             separates = len({oracle[w] for w in ws}) == len(ws)
@@ -251,7 +245,7 @@ def test_character_evaluation_matches_the_fraction_oracle(name):
     assert ("gen_denoms 2" in seen) == (datum.family in "BD")
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
 def test_root_batches_are_the_root_columns_under_their_coordinate_bound(name):
     datum = parse_group(name)
     coords = [r.coords for r in datum.positive_roots]
@@ -308,7 +302,7 @@ def test_single_root_stratum_of_sl4():
     a3 = build_root_datum("A", 3)
     spec = StratumSpec(a3, (a3.simple_roots[0],))
     s = generic_stratum_element(spec, seed=1)
-    assert evaluate(s, a3.simple_roots[0]).is_identity
+    assert oh.is_identity(evaluate(s, a3.simple_roots[0]))
     assert not is_regular(s)
     assert not is_central(s)
     # Forced coincidences on the natural module are exactly the pairs whose
@@ -341,7 +335,7 @@ def test_pair_stratum_with_sign_gives_the_twisted_family():
     spec = StratumSpec(a3, kernel, {1: Fraction(1, 2)})
     s = generic_stratum_element(spec, seed=0)
     for w in kernel:
-        assert evaluate(s, w).is_identity
+        assert oh.is_identity(evaluate(s, w))
     assert not is_regular(s) and not is_central(s)
     sp = spectrum(s, a3.fundamental_weight(2))
     cls = classify(sp)

@@ -155,6 +155,18 @@ def test_run_check_rejects_a_stratum_depth_other_than_one_or_two(check):
         run_check(check, family="A", rank=3, dim_bound=10, depth=3)
 
 
+@pytest.mark.parametrize("check", ["c99", "bounds"])
+@pytest.mark.parametrize("depth", [0, 3])
+def test_a_bad_stratum_depth_is_rejected_before_any_module_is_listed(monkeypatch, check, depth):
+    # A1 at dim <= 999,999 lists about a million candidates, which took
+    # seconds before the depth was read.
+    calls = []
+    monkeypatch.setattr(verify, "enumerate_modules", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=f"stratum depth must be 1 or 2, got {depth}"):
+        run_check(check, family="A", rank=1, dim_bound=999_999, depth=depth)
+    assert calls == []
+
+
 def test_deeper_sweeps_only_add_permitted_witnesses():
     # Depth 2 never contradicts depth 1: the almost-simple module set grows
     # monotonically and stays inside the permitted list.

@@ -286,6 +286,26 @@ def test_level_sets_examples():
     assert got2 == {(0, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 0, 1, 1)}
 
 
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
+def test_level_sets_list_the_exact_levels_up_to_the_maximum(name):
+    # level_sets searches each level only up to max_level + 1, on a fresh
+    # datum, and none of those capped values enters the exact memo.
+    datum = RootDatum(name[0], int(name[1:]))
+    got = {m: [(a.weight, a.level) for a in level_sets(datum, m, 4)] for m in (1, 2, 3, 4)}
+    assert not datum._levels
+    exact = [(w, weight_level(w)) for w in enumerate_dominant_by_sum(datum, 4)]
+    for m, listed in got.items():
+        assert listed == [(w, lvl) for w, lvl in exact if lvl <= m], m
+    # One memo under caps 1-5 in a shuffled order, so lower bounds found
+    # under one cap are read under others.
+    rng = random.Random(name)
+    queries = [(w, lvl, rng.randint(1, 5)) for w, lvl in exact for _ in range(2)]
+    rng.shuffle(queries)
+    steps, known = weights_module._level_steps(datum), {}
+    for w, lvl, cap in queries:
+        assert weights_module._capped_level(steps, known, w.coords, cap) == min(lvl, cap), w
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4"])
 def test_every_level_below_is_represented_in_the_weight_set(name):
     # A module of level i has subdominant weights of every level j < i.
