@@ -31,9 +31,10 @@ class WeightMultiset(FrozenRecord):
     """Weights of an irreducible module with their multiplicities: ``counts``
     maps each weight's coordinate tuple to its multiplicity (``support()``
     is the frozenset of those tuples), and ``highest`` holds the datum once.
-    ``entries`` (the same keyed by ``Weight``) and the layout read by
-    spectrum evaluation are built on first read, so ``counts`` must not
-    change after it is read."""
+    ``entries`` (the same keyed by ``Weight``) and ``layout`` (the
+    coordinate columns of all weights, heaviest multiplicity first, that
+    spectrum evaluation reads as one residue chain) are built on first
+    read, so ``counts`` must not change after it is read."""
 
     _fields = ("highest", "counts", "validity")
     __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached properties
@@ -49,14 +50,17 @@ class WeightMultiset(FrozenRecord):
         return {Weight(c, datum): m for c, m in self.counts.items()}
 
     @cached_property
-    def columns_by_multiplicity(self):
-        """((m, columns), ...) in increasing m: for each multiplicity m, the
-        omega-coordinate columns of the weights of multiplicity m, so
-        columns[i][w] is coordinate i of the w-th such weight."""
+    def layout(self):
+        """(columns, groups): the omega-coordinate columns of all weights,
+        heaviest multiplicity first (columns[i][w] is coordinate i of the
+        w-th weight), and ((m, count), ...) in that order: the weights come
+        in runs of ``count`` weights of multiplicity m."""
         groups = {}
         for c, m in self.counts.items():
             groups.setdefault(m, []).append(c)
-        return tuple((m, tuple(zip(*coords))) for m, coords in sorted(groups.items()))
+        ms = sorted(groups, reverse=True)
+        columns = tuple(zip(*chain.from_iterable(groups[m] for m in ms)))
+        return columns, tuple((m, len(groups[m])) for m in ms)
 
     @cached_property
     def max_abs_coordinate(self) -> int:
@@ -111,6 +115,13 @@ def weyl_dimension_of(datum: RootDatum, coords) -> int:
     lam_rho = [c + 1 for c in coords]
     for pv in datum.coroot_pairings:
         num *= sum(map(mul, lam_rho, pv))
+    return weyl_quotient(datum, coords, num)
+
+
+def weyl_quotient(datum: RootDatum, coords, num) -> int:
+    """num / prod <rho, b^vee>, the Weyl dimension of coords when num is the
+    product of its factors <coords + rho, b^vee> over the positive roots b.
+    A remainder raises ArithmeticError."""
     dim, rem = divmod(num, datum.rho_coroot_product)
     if rem:
         raise ArithmeticError(

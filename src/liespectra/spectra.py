@@ -88,21 +88,22 @@ def residue_counts(s: TorusElement, multiset: WeightMultiset):
     By the residue layout of ``TorusElement``, two weights have the same
     value at s iff their residues are equal, so counts is the spectrum with
     undecoded keys.  The base is proven from the multiset's largest
-    |coordinate|, and each multiplicity group is one batch of columns; the
+    |coordinate|.  The residues of all weights are one chain in the
+    multiset's ``layout`` order, read one multiplicity group at a time: the
     weights of multiplicity 1 are counted by ``Counter``, the others add
     their multiplicity.
     """
     if multiset.highest.datum is not s.datum:
         raise DatumMismatchError("weight bound to a different datum than the torus element")
-    groups = multiset.columns_by_multiplicity
-    b, batches = s.residues(multiset.max_abs_coordinate, *(columns for _, columns in groups))
+    columns, groups = multiset.layout
+    b, residues = s.residues(multiset.max_abs_coordinate, columns)
     counts = Counter()
-    for (m, _), residues in zip(groups, batches):
+    get = counts.get
+    for m, count in groups:
         if m == 1:
-            counts.update(residues)
+            counts.update(islice(residues, count))
         else:
-            get = counts.get
-            for r in residues:
+            for r in islice(residues, count):
                 counts[r] = get(r, 0) + m
     return b, counts
 
@@ -142,27 +143,26 @@ def almost_simple_class(s: TorusElement, multiset: WeightMultiset) -> SpectrumCl
     """``classify(spectrum_of_multiset(s, multiset))`` for a simple or almost
     simple spectrum, and None for one that is not almost simple.
 
-    The multiplicity groups are counted on residues (as in
-    ``residue_counts``) heaviest first.  While only groups of multiplicity
-    above 1 have been counted, every counted residue is a heavy value, so
-    once the counts hold two residues the spectrum is not almost simple and
-    the lighter batches, lazy iterators, are never evaluated.  Otherwise the
-    first two heavy residues are found in C-level passes, and only a single
-    heavy residue is decoded."""
+    The residues are read off the one chain of ``TorusElement.residues`` in
+    the multiset's ``layout`` order, heaviest multiplicity first.  Every
+    weight of multiplicity above 1 gives a heavy value, so an almost simple
+    spectrum has them all on one residue: the first heavy residue is kept,
+    and a C-level pass returns None at the first later heavy residue that
+    differs, across the multiplicity groups, without reading the rest of
+    the chain.  Only when every heavy weight agrees are the weights of
+    multiplicity 1 counted, and only a single heavy residue is decoded."""
     if multiset.highest.datum is not s.datum:
         raise DatumMismatchError("weight bound to a different datum than the torus element")
-    groups = multiset.columns_by_multiplicity[::-1]
-    b, batches = s.residues(multiset.max_abs_coordinate, *(columns for _, columns in groups))
+    columns, groups = multiset.layout
+    b, residues = s.residues(multiset.max_abs_coordinate, columns)
     counts = Counter()
-    get = counts.get
-    for (m, _), residues in zip(groups, batches):
-        if len(counts) > 1:
+    heavy_weights = sum(count for m, count in groups if m > 1)
+    if heavy_weights:
+        first = next(residues)
+        if any(map(first.__ne__, islice(residues, heavy_weights - 1))):
             return None
-        if m == 1:
-            counts.update(residues)
-        else:
-            for r in residues:
-                counts[r] = get(r, 0) + m
+        counts[first] = sum(m * count for m, count in groups if m > 1)
+    counts.update(residues)
     heavy = list(islice(compress(counts, map((1).__lt__, counts.values())), 2))
     if len(heavy) > 1:
         return None

@@ -193,13 +193,13 @@ class TorusElement(FrozenRecord):
     def free_rank(self):
         return len(self.assignments[0].free) if self.assignments else 0
 
-    def residues(self, c, *batches):
-        """(b, [residues, ...]): per batch of omega-coordinate columns
-        (columns[i][w] is coordinate i of character w, each in [-c, c]), an
-        iterator over the residues x mod M of the packed sums
-        x = sum_i c_i P_i in base B = 2^b; 0 means the character is trivial.
-        The iterators are lazy: a batch that is never read is never
-        evaluated.
+    def residues(self, c, columns):
+        """(b, residues): an iterator over the residues x mod M of the packed
+        sums x = sum_i c_i P_i in base B = 2^b, one per character of the
+        omega-coordinate columns (columns[i][w] is coordinate i of
+        character w, each in [-c, c]), in column order; 0 means the
+        character is trivial.  The iterator is one lazy chain of C-level
+        maps: a residue that is never read is never computed.
 
         Each free digit has |F_j| <= c sum_i |f_ij| < h, with
         h = c max_j sum_i |f_ij| + 1, and B > 2h holds it as a balanced
@@ -212,14 +212,10 @@ class TorusElement(FrozenRecord):
         for column in self._fcols:
             packed = map(add, map(base.__mul__, packed), column)
         first, *rest = packed
-        modulus = self._denom << (b * len(self._fcols))
-        out = []
-        for columns in batches:
-            xs = map(first.__mul__, columns[0])
-            for p, column in zip(rest, columns[1:]):
-                xs = map(add, xs, map(p.__mul__, column))
-            out.append(map(modulus.__rmod__, xs))
-        return b, out
+        xs = map(first.__mul__, columns[0])
+        for p, column in zip(rest, columns[1:]):
+            xs = map(add, xs, map(p.__mul__, column))
+        return b, map((self._denom << (b * len(self._fcols))).__rmod__, xs)
 
     def decode(self, counts, b):
         """[(value, m), ...] in canonical value order, for counts {r: m}
@@ -274,8 +270,7 @@ def _weight_residues(s: TorusElement, weights):
     if any(w.datum is not s.datum for w in weights):
         raise DatumMismatchError("weight bound to a different datum than the torus element")
     columns = tuple(zip(*(w.coords for w in weights))) or ((),) * s.datum.rank
-    b, (residues,) = s.residues(max(map(abs, itertools.chain(*columns)), default=0), columns)
-    return b, residues
+    return s.residues(max(map(abs, itertools.chain(*columns)), default=0), columns)
 
 
 def evaluate(s: TorusElement, mu: Weight) -> ValueGroupElement:
@@ -287,13 +282,13 @@ def evaluate(s: TorusElement, mu: Weight) -> ValueGroupElement:
 
 def is_regular(s: TorusElement) -> bool:
     """True iff no root is trivial at s: no positive-root residue is 0."""
-    _, (residues,) = s.residues(s.datum.root_coordinate_bound, s.datum.positive_root_columns)
+    _, residues = s.residues(s.datum.root_coordinate_bound, s.datum.positive_root_columns)
     return 0 not in residues
 
 
 def is_central(s: TorusElement) -> bool:
     """True iff every simple root is trivial at s: every residue is 0."""
-    _, (residues,) = s.residues(s.datum.root_coordinate_bound, s.datum.simple_root_columns)
+    _, residues = s.residues(s.datum.root_coordinate_bound, s.datum.simple_root_columns)
     return not any(residues)
 
 

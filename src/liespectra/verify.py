@@ -19,6 +19,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from types import MappingProxyType
 
 from . import CHECK_IDS, tables
@@ -28,6 +29,7 @@ from .mult import (
     freudenthal_multiplicities,
     validity_note,
     weyl_dimension_of,
+    weyl_quotient,
 )
 from .rootdata import Record, RootDatum, Weight, build_root_datum
 from .spectra import (
@@ -365,25 +367,26 @@ def enumerate_modules(datum: RootDatum, dim_bound: int, *, with_dimensions=False
         )
     check_dim_ceiling(dim_bound)
     n = datum.rank
+    columns = tuple(zip(*datum.coroot_pairings))  # columns[i][k] = <omega_i, b_k^vee>
     out = []  # (dimension, coordinates); the last prefix check gives the dimension
     coords = [0] * n
 
-    def rec(i):
-        c = 0
+    def rec(i, factors):
+        # coords[i:] are 0 on entry; factors stay <coords + rho, b^vee>.
+        column = columns[i]
         while True:
-            coords[i] = c
-            # coords[i + 1:] are 0 here, so coords is the dominant prefix.
-            dim = weyl_dimension_of(datum, coords)
+            dim = weyl_quotient(datum, coords, math.prod(factors))
             if dim > dim_bound:
                 break
             if i + 1 < n:
-                rec(i + 1)
+                rec(i + 1, factors)
             elif any(coords):
                 out.append((dim, tuple(coords)))
-            c += 1
+            coords[i] += 1
+            factors = list(map(add, factors, column))
         coords[i] = 0
 
-    rec(0)
+    rec(0, [sum(pv) for pv in datum.coroot_pairings])
     out.sort()
     if with_dimensions:
         return [(dim, Weight(c, datum)) for dim, c in out]

@@ -121,7 +121,7 @@ def test_dir_lists_the_exports_and_unknown_names_raise():
 # Names no answer reads, deleted from the package; the tests that need one
 # read it from oracle_helpers.
 DELETED = {
-    "mult.WeightMultiset": ("nonzero_multiplicities_all_one",),
+    "mult.WeightMultiset": ("nonzero_multiplicities_all_one", "columns_by_multiplicity"),
     "spectra.Spectrum": ("as_dict", "inversion_symmetric"),
     "spectra": ("classify_multiset",),
     "torus.ValueGroupElement": ("is_identity", "scale"),

@@ -31,7 +31,7 @@ from liespectra import (
     torus_from_epsilon_text,
     zero_weight_multiplicity,
 )
-from liespectra.mult import weyl_dimension
+from liespectra.mult import WeightMultiset, weyl_dimension
 from liespectra.spectra import SpectrumKind, almost_simple_class
 from liespectra.torus import TorusElement
 from liespectra.verify import enumerate_modules, sweep_elements
@@ -190,27 +190,46 @@ def test_almost_simple_class_matches_classify_on_sweep_elements(name, bound):
 def test_almost_simple_class_never_evaluates_the_multiplicity_one_batch(monkeypatch):
     # B3 L(2 w2) has weights of multiplicity 8, 4, 2 and 1.  At every sweep
     # element the heavy weights already take two values, so the spectrum is
-    # not almost simple before the lightest batch is read.
+    # not almost simple before any weight of multiplicity 1 is read.
     datum = parse_group("B3")
     multiset = freudenthal_multiplicities(datum.weight((0, 2, 0)))
-    assert [m for m, _ in multiset.columns_by_multiplicity] == [1, 2, 4, 8]
-    light = multiset.columns_by_multiplicity[0][1]
+    columns, groups = multiset.layout
+    assert [m for m, _ in groups] == [8, 4, 2, 1]
+    assert sum(count for _, count in groups) == len(columns[0]) == len(multiset.counts)
+    heavy_weights = sum(count for m, count in groups if m > 1)
     residues, read = TorusElement.residues, []
 
-    def recording(batch, it):
+    def recording(it):
         for r in it:
-            read.append(batch)
+            read.append(r)
             yield r
 
-    def recording_residues(self, c, *batches):
-        b, out = residues(self, c, *batches)
-        return b, [recording(batch, it) for batch, it in zip(batches, out)]
+    def recording_residues(self, c, columns):
+        b, it = residues(self, c, columns)
+        return b, recording(it)
 
     monkeypatch.setattr(TorusElement, "residues", recording_residues)
     for s in sweep_elements(datum, 2, 0):
         read.clear()
         assert almost_simple_class(s, multiset) is None
-        assert read and not any(batch is light for batch in read)
+        assert 1 < len(read) <= heavy_weights
+
+
+def test_almost_simple_class_compares_heavy_weights_across_multiplicity_groups():
+    # At the torsion 1/2 element of A1 every odd weight has value -1 and
+    # every even weight value 1.  The multiplicity-3 weights agree on -1 and
+    # the multiplicity-2 weights on 1, so each group alone has one heavy
+    # value, and the spectrum (-1 twelve times, 1 six times) is not almost
+    # simple.
+    datum = parse_group("A1")
+    s = torus_element(datum, [(Fraction(1, 2), ())])
+    multiset = WeightMultiset(datum.weight((3,)), {(3,): 3, (1,): 3, (-1,): 3, (-3,): 3,
+                                                   (2,): 2, (0,): 2, (-2,): 2}, "")
+    assert [m for m, _ in multiset.layout[1]] == [3, 2]
+    sp = _spectrum_by_evaluate(s, multiset)
+    assert by_coords(sp, s) == {"1": 6, "-1": 12}
+    assert almost_simple_class(s, multiset) is None
+    _assert_early_exit_agrees(s, multiset, sp)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -266,7 +266,7 @@ def test_g2_root_residues_need_the_coordinate_bound_3():
     values = [oh.evaluate_oracle(s, r) for r in g2.positive_roots]
 
     def residues(c):
-        b, (rs,) = s.residues(c, g2.positive_root_columns)
+        b, rs = s.residues(c, g2.positive_root_columns)
         return b, list(rs)
 
     b, rs = residues(g2.root_coordinate_bound)

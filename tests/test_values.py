@@ -162,4 +162,4 @@ def test_a_copied_torus_element_evaluates_as_the_original():
     assert evaluate(t, mu) == evaluate(s, mu)
     assert (is_regular(t), is_central(t)) == (is_regular(s), is_central(s))
     ms = freudenthal_multiplicities(LAM)
-    assert copy.copy(ms).columns_by_multiplicity == ms.columns_by_multiplicity
+    assert copy.copy(ms).layout == ms.layout

@@ -1,12 +1,16 @@
+import itertools
 import json
 from types import MappingProxyType
 
 import pytest
 
+import oracle_helpers as oh
 from liespectra import tables, verify
+from liespectra.mult import weyl_dimension_of
 from liespectra.exceptions import ResourceLimitError
 from liespectra import (
     build_root_datum,
+    parse_group,
     run_check,
     verify_classification_sweep,
     verify_level_table,
@@ -297,6 +301,22 @@ def test_the_shared_sweep_is_read_only():
     ]
     assert list(modules) == verify.enumerate_modules(datum, 40)
     assert modules[datum.weight((0, 1, 0))] == 6
+
+
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
+def test_enumerate_modules_lists_the_box_filtered_by_the_weyl_dimension(name):
+    # The modules are listed on running Weyl factors; the oracle computes
+    # every dimension of the coordinate box from scratch.  Twice the
+    # smallest fundamental dimension, or 300, lists at least one module.
+    datum = parse_group(name)
+    n = datum.rank
+    smallest = min(weyl_dimension_of(datum, [int(i == j) for j in range(n)]) for i in range(n))
+    bound = max(300, 2 * smallest)
+    box = itertools.product(*(range(cap + 1) for cap in verify._coordinate_caps(datum, bound)))
+    expected = sorted((dim, coords) for coords in box if any(coords)
+                      for dim in [weyl_dimension_of(datum, coords)] if dim <= bound)
+    got = verify.enumerate_modules(datum, bound, with_dimensions=True)
+    assert expected and [(dim, lam.coords) for dim, lam in got] == expected
 
 
 @pytest.mark.parametrize("rejected,error,match", [
