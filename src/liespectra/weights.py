@@ -4,6 +4,7 @@ subdominant enumeration, radical/minuscule tests and level stratification."""
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from operator import add, le, mul, sub
 
@@ -12,7 +13,7 @@ from .rootdata import FrozenRecord, RootDatum, Weight
 from . import kernels
 from .kernels import DEFAULT_ORBIT_BOUND
 
-# Most dominant weights enumerate_dominant_by_sum will list.
+# Most dominant weights level_sets and verify.enumerate_modules accept.
 DOMINANT_ENUMERATION_BOUND = 1_000_000
 
 
@@ -261,13 +262,24 @@ def is_minuscule(lam: Weight) -> bool:
     )
 
 
-def enumerate_dominant_by_sum(datum: RootDatum, height_bound: int):
-    """Dominant weights with coordinate sum <= height_bound, sorted.
+def level_sets(datum: RootDatum, max_level: int, height_bound: int):
+    """Level assignments for the dominant weights of coordinate sum <=
+    height_bound and level <= max_level, in (sum, coordinates) order.
 
-    There are C(height_bound + n, n) of them; more than
-    DOMINANT_ENUMERATION_BOUND is rejected before any is listed, and a
-    negative bound raises ValueError.
+    Only sums up to 1 + c (max_level - 1) are listed (by stars and bars), c
+    the largest coordinate sum of a positive root (2 on every supported
+    type): a weight of level L lies L - 1 minimal steps, each a positive
+    root, above a weight of level 1, which is 0 or minuscule, so 0 or a
+    fundamental weight.  C(height_bound + n, n) above
+    DOMINANT_ENUMERATION_BOUND is still rejected before any listing (a count
+    of the cut listing would accept A32 at max level 3, bound 6: 435,897
+    weights), and a negative bound raises ValueError.  Each level is
+    searched only up to max_level + 1 (``_capped_level``), which decides
+    whether it is listed; those capped values are kept for this call only,
+    never in the datum's exact memo.
     """
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
     if height_bound < 0:
         raise ValueError(f"coordinate-sum bound must be >= 0, got {height_bound}")
     n = datum.rank
@@ -277,43 +289,18 @@ def enumerate_dominant_by_sum(datum: RootDatum, height_bound: int):
             f"{datum.name} has {count} dominant weights with coordinate sum <= "
             f"{height_bound}, exceeding the enumeration bound {DOMINANT_ENUMERATION_BOUND}"
         )
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            out.append(Weight(tuple(prefix), datum))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c)
-
-    rec([], height_bound)
-    out.sort(key=lambda w: (sum(w.coords), w.coords))
-    return tuple(out)
-
-
-def level_sets(datum: RootDatum, max_level: int, height_bound: int):
-    """Level assignments for all dominant weights within the coordinate-sum
-    bound, restricted to levels <= max_level.
-
-    A weight's level never depends on the bound; the bound only controls
-    which weights are enumerated.  Each level is searched only up to
-    max_level + 1 (``_capped_level``), which decides whether it is listed;
-    those capped values are kept for this call only, never in the datum's
-    exact memo.
-    """
-    if max_level < 1:
-        raise ValueError("max_level must be >= 1")
-    steps, known, levels = _level_steps(datum), {}, {}
-    listed = enumerate_dominant_by_sum(datum, height_bound)
+    top = min(height_bound, 1 + max(map(sum, datum.positive_root_coords)) * (max_level - 1))
+    # Stars and bars: bar i after b_i of the s stars.  The prefix sums b run
+    # in lexicographic order, so the coordinates b_i - b_(i-1) do too.
+    listed = [tuple(map(sub, (*bars, s), (0, *bars)))
+              for s in range(top + 1)
+              for bars in itertools.combinations_with_replacement(range(s + 1), n - 1)]
     # Lowest first by height (det times the sum of the simple-root
     # coefficients, which every step lowers), so a listed weight is searched
-    # under the full cap before a listed weight above it reads it.  At max
-    # level 1 a weight only asks whether any step exists, so the order is
-    # moot and the sort is skipped.
+    # under the full cap before a listed weight above it reads it.
     heights = [sum(row) for row in datum.cartan_t_adj]
-    order = listed if max_level == 1 else sorted(
-        listed, key=lambda w: sum(map(mul, w.coords, heights)))
-    for w in order:
-        levels[w.coords] = _capped_level(steps, known, w.coords, max_level + 1)
-    return tuple(LevelAssignment(w, levels[w.coords]) for w in listed
-                 if levels[w.coords] <= max_level)
+    steps, known, levels = _level_steps(datum), {}, {}
+    for c in sorted(listed, key=lambda c: sum(map(mul, c, heights))):
+        levels[c] = _capped_level(steps, known, c, max_level + 1)
+    return tuple(LevelAssignment(Weight(c, datum), levels[c]) for c in listed
+                 if levels[c] <= max_level)

@@ -21,6 +21,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from liespectra import kernels
+from liespectra.exceptions import ResourceLimitError
 from liespectra.linalg import hermite_normal_form
 from liespectra.mult import freudenthal_multiplicities
 from liespectra.spectra import Spectrum
@@ -35,6 +36,7 @@ from liespectra.torus import (
     torus_from_epsilon,
 )
 from liespectra.verify import _sample_epsilon_tokens
+from liespectra.weights import DOMINANT_ENUMERATION_BOUND
 
 # The 32 simple types of rank <= 8, the range every per-type oracle covers.
 RANK_AT_MOST_8 = [f"{f}{r}" for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
@@ -371,6 +373,37 @@ def weight_set_oracle(datum, lam):
                     new.append(cand)
         frontier = new
     return seen
+
+
+def enumerate_dominant_by_sum(datum, height_bound):
+    """Dominant weights with coordinate sum <= height_bound, sorted by
+    (sum, coordinates), built one coordinate at a time with no cut.
+
+    There are C(height_bound + n, n) of them; more than
+    DOMINANT_ENUMERATION_BOUND is rejected before any is listed, and a
+    negative bound raises ValueError.
+    """
+    if height_bound < 0:
+        raise ValueError(f"coordinate-sum bound must be >= 0, got {height_bound}")
+    n = datum.rank
+    count = math.comb(height_bound + n, n)
+    if count > DOMINANT_ENUMERATION_BOUND:
+        raise ResourceLimitError(
+            f"{datum.name} has {count} dominant weights with coordinate sum <= "
+            f"{height_bound}, exceeding the enumeration bound {DOMINANT_ENUMERATION_BOUND}"
+        )
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == n:
+            out.append(datum.weight(tuple(prefix)))
+            return
+        for c in range(remaining + 1):
+            rec(prefix + [c], remaining - c)
+
+    rec([], height_bound)
+    out.sort(key=lambda w: (sum(w.coords), w.coords))
+    return tuple(out)
 
 
 def subdominant_oracle(datum, lam):

@@ -51,7 +51,7 @@ def sweep_results():
     out = {}
     for fam, rank, bound in SWEEP_GROUPS:
         datum = build_root_datum(fam, rank)
-        modules, elements, outcomes = classification_sweep(datum, bound, SWEEP_DEPTH, SWEEP_SEED)
+        modules, elements, outcomes = classification_sweep(datum, bound, SWEEP_DEPTH)
         out[(fam, rank)] = (datum, bound, modules, elements, outcomes)
     return out
 
@@ -132,7 +132,7 @@ def test_criterion_3_classification_sweep(sweep_results):
         3,
         not mismatches and elapsed < 120.0,
         "almost-simple outcomes match the expected module lists exactly "
-        f"(depth {SWEEP_DEPTH} strata, seed {SWEEP_SEED}, elapsed {elapsed:.2f}s < 120s)"
+        f"(depth {SWEEP_DEPTH} strata, elapsed {elapsed:.2f}s < 120s)"
         if not mismatches else f"mismatches: {mismatches}",
     )
 

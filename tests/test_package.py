@@ -125,7 +125,7 @@ DELETED = {
     "spectra.Spectrum": ("as_dict", "inversion_symmetric"),
     "spectra": ("classify_multiset",),
     "torus.ValueGroupElement": ("is_identity", "scale"),
-    "weights": ("dominates",),
+    "weights": ("dominates", "enumerate_dominant_by_sum"),
     "verify": ("sample_torus_element",),
 }
 

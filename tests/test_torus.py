@@ -587,7 +587,7 @@ def test_a_sweep_runs_one_smith_form_per_kernel_and_per_decorated_spec(name, cal
         return snf(rows)
 
     monkeypatch.setattr(torus_module, "smith_normal_form", counting)
-    sweep_elements(datum, 2, 0)
+    sweep_elements(datum, 2)
     assert count == calls
 
 

@@ -179,8 +179,8 @@ def test_deeper_sweeps_only_add_permitted_witnesses():
 
     for fam, rank, bound in [("A", 3, 40), ("B", 3, 40), ("D", 4, 50)]:
         datum = build_root_datum(fam, rank)
-        _, _, shallow = classification_sweep(datum, bound, 1, seed=0)
-        _, _, deep = classification_sweep(datum, bound, 2, seed=0)
+        _, _, shallow = classification_sweep(datum, bound, 1)
+        _, _, deep = classification_sweep(datum, bound, 2)
         hits1 = {lam.coords for lam in shallow}
         hits2 = {lam.coords for lam in deep}
         assert hits1 <= hits2
@@ -199,7 +199,7 @@ def test_depth_one_finds_no_witness_on_the_root_pair_modules(family, rank, bound
         report = run_check("c99", family=family, rank=rank, dim_bound=bound, depth=depth,
                            seed=seed)
         assert report.status == "Pass", report.cases
-        _, _, outcomes = verify.classification_sweep(datum, bound, depth, seed)
+        _, _, outcomes = verify.classification_sweep(datum, bound, depth)
         assert {lam.coords for lam in outcomes} & pair_only == (pair_only if depth == 2 else set())
         expected = [c["expected"] for c in report.cases]
         assert expected.count("no witness at depth 1 (root-pair strata only)") == (
@@ -258,8 +258,18 @@ def test_second_check_on_the_same_input_reads_the_first_ones_sweep(sweep_work, f
     assert sweep_work == built
 
 
+@pytest.mark.parametrize("first,second", [("c99", "bounds"), ("bounds", "c99")])
+def test_a_check_with_another_seed_reads_the_same_sweep(sweep_work, first, second):
+    # No sweep element reads the seed, so the seed is not part of the key.
+    run_check(first, **SHARED)
+    built = dict(sweep_work)
+    run_check(second, **{**SHARED, "seed": 1})
+    run_check(first, **{**SHARED, "seed": 12345})
+    assert sweep_work == built
+
+
 @pytest.mark.parametrize("change", [
-    {"family": "B"}, {"dim_bound": 41}, {"depth": 1}, {"seed": 1},
+    {"family": "B"}, {"dim_bound": 41}, {"depth": 1},
 ])
 def test_any_other_input_runs_a_fresh_sweep(sweep_work, change):
     run_check("c99", **SHARED)
@@ -285,9 +295,26 @@ def test_shared_and_fresh_sweeps_give_the_same_reports(depth, first, second):
     assert shared == fresh
 
 
+@pytest.mark.parametrize("check", ["c99", "bounds"])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("family,rank,bound", [("A", 3, 40), ("G", 2, 60), ("C", 3, 60)])
+def test_sweep_reports_are_the_same_for_every_seed(check, depth, family, rank, bound):
+    # Every torsion slot of a sweep element takes a decoration value, so the
+    # seed only labels the check id.  A fresh sweep per seed.
+    reports = []
+    for seed in (0, 1, 7, 12345):
+        verify.classification_sweep.cache_clear()
+        payload = run_check(check, family=family, rank=rank, dim_bound=bound, depth=depth,
+                            seed=seed).to_json()
+        assert payload.pop("check_id").endswith(f":seed={seed}")
+        del payload["elapsed_seconds"]
+        reports.append(json.dumps(payload, sort_keys=True))
+    assert len(set(reports)) == 1
+
+
 def test_the_shared_sweep_is_read_only():
     datum = build_root_datum("A", 3)
-    modules, elements, outcomes = verify.classification_sweep(datum, 40, 2, 0)
+    modules, elements, outcomes = verify.classification_sweep(datum, 40, 2)
     assert type(modules) is MappingProxyType and type(outcomes) is MappingProxyType
     assert type(elements) is tuple
     assert all(type(pairs) is tuple for pairs in outcomes.values())

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,9 +20,9 @@ from liespectra import (
     weight_level,
     weyl_orbit,
 )
-from liespectra.weights import Dominance, enumerate_dominant_by_sum, orbit_size
+from liespectra.weights import Dominance, orbit_size
 from liespectra.mult import premet_weight_set
-from liespectra.rootdata import RootDatum
+from liespectra.rootdata import SUPPORTED_RANGES, RootDatum
 
 
 def coords_set(weights):
@@ -226,7 +227,7 @@ def test_weight_level_of_long_chains_matches_the_closed_form():
 @pytest.mark.parametrize("name,bound", [("A2", 4), ("B2", 4), ("B3", 2), ("C3", 2), ("G2", 3), ("D4", 2)])
 def test_weight_level_matches_chain_oracle(name, bound):
     datum = parse_group(name)
-    for lam in enumerate_dominant_by_sum(datum, bound):
+    for lam in oh.enumerate_dominant_by_sum(datum, bound):
         assert weight_level(lam) == oh.level_oracle(datum, lam.coords)
 
 
@@ -249,7 +250,7 @@ MINUSCULE_GROUPS = ([f"A{r}" for r in range(1, 7)] + [f"B{r}" for r in range(2, 
 @pytest.mark.parametrize("name", MINUSCULE_GROUPS)
 def test_is_minuscule_agrees_with_level_one(name):
     datum = parse_group(name)
-    for lam in enumerate_dominant_by_sum(datum, 3):
+    for lam in oh.enumerate_dominant_by_sum(datum, 3):
         assert is_minuscule(lam) == (not lam.is_zero and weight_level(lam) == 1), lam
 
 
@@ -288,29 +289,54 @@ def test_level_sets_examples():
 
 @pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
 def test_level_sets_list_the_exact_levels_up_to_the_maximum(name):
-    # level_sets searches each level only up to max_level + 1, on a fresh
-    # datum, and none of those capped values enters the exact memo.
+    # level_sets lists only coordinate sums up to 1 + 2 (max_level - 1) and
+    # searches each level only up to max_level + 1, on a fresh datum, and
+    # none of those capped values enters the exact memo.  The oracle is the
+    # exact level over the uncut listing, at max levels 1-5 and every bound
+    # up to 8 that lists at most 20,000 weights.
     datum = RootDatum(name[0], int(name[1:]))
-    got = {m: [(a.weight, a.level) for a in level_sets(datum, m, 4)] for m in (1, 2, 3, 4)}
+    n = datum.rank
+    bounds = [b for b in range(9) if math.comb(b + n, n) <= 20_000]
+    got = {(m, b): [(a.weight, a.level) for a in level_sets(datum, m, b)]
+           for m in range(1, 6) for b in bounds}
     assert not datum._levels
-    exact = [(w, weight_level(w)) for w in enumerate_dominant_by_sum(datum, 4)]
-    for m, listed in got.items():
-        assert listed == [(w, lvl) for w, lvl in exact if lvl <= m], m
+    exact = [(w, weight_level(w)) for w in oh.enumerate_dominant_by_sum(datum, bounds[-1])]
+    for (m, b), listed in got.items():
+        assert listed == [(w, lvl) for w, lvl in exact if lvl <= m and sum(w.coords) <= b], (m, b)
     # One memo under caps 1-5 in a shuffled order, so lower bounds found
     # under one cap are read under others.
     rng = random.Random(name)
-    queries = [(w, lvl, rng.randint(1, 5)) for w, lvl in exact for _ in range(2)]
+    queries = [(w, lvl, rng.randint(1, 5)) for w, lvl in exact if sum(w.coords) <= 4
+               for _ in range(2)]
     rng.shuffle(queries)
     steps, known = weights_module._level_steps(datum), {}
     for w, lvl, cap in queries:
         assert weights_module._capped_level(steps, known, w.coords, cap) == min(lvl, cap), w
 
 
+def test_the_level_sets_cut_holds_on_every_supported_type():
+    # The cut 1 + c (max_level - 1) rests on two facts: every positive root
+    # has coordinate sum <= c = 2, and no dominant weight of coordinate sum 2
+    # has level 1 (some positive-root step leaves it dominant).  With the
+    # minuscule weights being fundamental weights, level 1 holds only sums
+    # <= 1.
+    types = [(family, rank) for family, (lo, hi) in SUPPORTED_RANGES.items()
+             for rank in range(lo, hi + 1)]
+    assert len(types) == 128
+    for family, rank in types:
+        datum = build_root_datum(family, rank)
+        assert max(map(sum, datum.positive_root_coords)) == 2, datum.name
+        steps = weights_module._level_steps(datum)
+        for w in oh.enumerate_dominant_by_sum(datum, 2):
+            if sum(w.coords) == 2:
+                assert weights_module._steps_mask(w.coords, steps), w
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4"])
 def test_every_level_below_is_represented_in_the_weight_set(name):
     # A module of level i has subdominant weights of every level j < i.
     datum = parse_group(name)
-    for lam in enumerate_dominant_by_sum(datum, 3):
+    for lam in oh.enumerate_dominant_by_sum(datum, 3):
         lvl = weight_level(lam)
         levels_below = {weight_level(m) for m in subdominant_weights(lam)}
         assert set(range(1, lvl + 1)) == levels_below
@@ -319,7 +345,7 @@ def test_every_level_below_is_represented_in_the_weight_set(name):
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
 def test_radical_and_nonradical_structure(name):
     datum = parse_group(name)
-    for lam in enumerate_dominant_by_sum(datum, 3):
+    for lam in oh.enumerate_dominant_by_sum(datum, 3):
         if lam.is_zero:
             continue
         subs = subdominant_weights(lam)
