@@ -7,8 +7,11 @@ height, each with its simple-root coefficients and length.  One
 fraction-free determinant and adjugate of the Cartan matrix give the
 invariant form on the weight lattice, the simple-root coefficients of any
 other weight (``root_coefficients``) and, for families A-D, the
-epsilon-coordinates of the fundamental weights.  Rationals remain only in
-those epsilon-coordinates and in ``form`` values.
+epsilon-coordinates of the fundamental weights: as Fractions
+(``epsilon_map``, trace-zero for A) and as integer rows h_i omega_i =
+sum_j c_ij e_j (``epsilon_rows``; h_i = 2 on the B and D spin weights, else
+1; A's rows are e_1 + ... + e_i).  Rationals remain only in ``epsilon_map``
+and in ``form`` values.
 
 Conventions (fixed throughout the package):
 
@@ -259,14 +262,17 @@ class RootDatum:
         self._strata = {}  # depth -> torus.canonical_root_strata
         self._orbit_templates = {}  # support -> kernels._orbit_template
 
-        # Bourbaki epsilon-coordinates of omega_i = sum_j adj[j][i]/det alpha_j.
-        self.epsilon_map = None
+        # Bourbaki epsilon-coordinates of omega_i = sum_j adj[j][i]/det alpha_j,
+        # and the integer rows (h_i, c_i); A's are shifted to e_1 + ... + e_i.
+        self.epsilon_map = self.epsilon_rows = None
         if family in "ABCD":
             eps_simple = _simple_roots_eps(family, rank)
-            self.epsilon_map = tuple(
-                tuple(Fraction(x, det) for x in vec_mat(adj_i, eps_simple))
-                for adj_i in self.cartan_t_adj
-            )
+            vs = [vec_mat(adj_i, eps_simple) for adj_i in self.cartan_t_adj]
+            self.epsilon_map = tuple(tuple(Fraction(x, det) for x in v) for v in vs)
+            if family == "A":
+                vs = [[x - v[-1] for x in v] for v in vs]
+            gs = [math.gcd(det, *v) for v in vs]
+            self.epsilon_rows = tuple((det // g, tuple(x // g for x in v)) for g, v in zip(gs, vs))
 
     # -- construction helpers -------------------------------------------------
 
@@ -508,34 +514,26 @@ def epsilon_values(datum: RootDatum, mu: Weight) -> tuple:
         )
     if mu.datum is not datum:
         raise DatumMismatchError("weight bound to a different datum")
-    dim = len(datum.epsilon_map[0])
-    out = [Fraction(0)] * dim
-    for c, vec in zip(mu.coords, datum.epsilon_map):
-        if c:
-            for m in range(dim):
-                out[m] += c * vec[m]
-    return tuple(out)
+    return vec_mat(mu.coords, datum.epsilon_map)
 
 
 def weight_from_epsilon(datum: RootDatum, eps: tuple) -> Weight:
-    """Inverse of epsilon_values on the weight lattice (families A-D)."""
+    """Inverse of epsilon_values on the weight lattice (families A-D): the
+    coordinates 2 (x, alpha_i) / (alpha_i, alpha_i) over Bourbaki's simple
+    roots, in the ambient dot product.  A vector of the wrong length or
+    off the weight lattice raises ValueError."""
     if datum.epsilon_map is None:
         raise UnsupportedRootSystemError(
             f"epsilon coordinates are only defined for families A-D, not {datum.name}"
         )
-    n = datum.rank
+    width = len(datum.epsilon_map[0])
+    if len(eps) != width:
+        raise ValueError(f"{datum.name} needs {width} epsilon coordinates, got {len(eps)}")
     x = [Fraction(v) for v in eps]
-    fam = datum.family
-    if fam == "A":
-        coords = [x[i] - x[i + 1] for i in range(n)]
-    elif fam == "B":
-        coords = [x[i] - x[i + 1] for i in range(n - 1)] + [2 * x[n - 1]]
-    elif fam == "C":
-        coords = [x[i] - x[i + 1] for i in range(n - 1)] + [x[n - 1]]
-    else:  # D
-        coords = [x[i] - x[i + 1] for i in range(n - 1)]
-        coords.append(x[n - 2] + x[n - 1])
-    for c in coords:
-        if Fraction(c).denominator != 1:
+    coords = []
+    for a in _simple_roots_eps(datum.family, datum.rank):
+        c = 2 * sum(map(mul, x, a)) / sum(map(mul, a, a))
+        if c.denominator != 1:
             raise ValueError(f"epsilon vector {eps} is not in the weight lattice of {datum.name}")
-    return Weight(tuple(int(c) for c in coords), datum)
+        coords.append(int(c))
+    return Weight(tuple(coords), datum)

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add
+from operator import add, mul
 
 from .exceptions import DatumMismatchError, ResourceLimitError, UnsupportedRootSystemError
 from .linalg import hermite_normal_form, smith_normal_form
@@ -551,85 +551,43 @@ def torus_from_epsilon(datum: RootDatum, tokens, label="") -> TorusElement:
     """Compile epsilon values (EpsilonToken list) into a torus element, for
     the classical families.
 
-    For families B and D the fundamental spin characters are half-sums of
-    epsilons; each named symbol is therefore modelled as the square of an
-    internal generator (display shows fractional exponents of the symbol),
-    and half torsion takes the representative in [0, 1/2).  The resulting
-    element is one of the two square-root branches; root values, hence
-    regularity and centrality, do not depend on the branch.
+    omega_i is read off its integer row h_i omega_i = sum_j c_ij e_j
+    (``RootDatum.epsilon_rows``): torsion (sum_j c_ij t_j mod 1) / h_i and
+    free part (sum_j c_ij f_j) / h_i.  Family A needs product 1 (determinant
+    one), and its rows are e_1 + ... + e_i, not the trace-zero ones, which
+    scale the torsion by i/(n+1): a root of unity has no unique (n+1)-th
+    root, and on A1 '-1,-1' is -I, so omega_1 must take -1, not 1.
+
+    The B and D spin weights are half-sums (h_i = 2): each named symbol is
+    modelled as the square of an internal generator (shown with fractional
+    exponents), so free sums halve, and each half torsion takes its branch
+    in [0, 1/2).  On B the branch changes no root value.  On D the two spin
+    branches are taken apart and can disagree with e_1 + ... + e_(n-1);
+    then e_(n-1) and e_n both change sign ('a,b,c,-d' on D4 gives -c, d).
     """
-    fam = datum.family
-    if fam not in "ABCD":
+    rows = datum.epsilon_rows
+    if rows is None:
         raise UnsupportedRootSystemError(
             f"epsilon shorthand applies to families A-D only, not {datum.name}"
         )
-    n = datum.rank
-    expect = n + 1 if fam == "A" else n
+    expect = len(rows[0][1])
     if len(tokens) != expect:
-        raise ValueError(
-            f"{datum.name} needs {expect} epsilon values, got {len(tokens)}"
-        )
-    names = []
-    for tok in tokens:
-        for name in tok.powers:
-            if name not in names:
-                names.append(name)
-    k = len(names)
-    scale = 2 if fam in "BD" else 1
-    vals = []
-    for tok in tokens:
-        free = [0] * k
-        for name, exp in tok.powers.items():
-            free[names.index(name)] += exp * scale
-        vals.append((tok.torsion, tuple(free)))
-
-    def partial(upto, signs=None):
-        t = Fraction(0)
-        free = [0] * k
-        for idx in range(upto):
-            sign = 1 if signs is None else signs[idx]
-            t += sign * vals[idx][0]
-            for j in range(k):
-                free[j] += sign * vals[idx][1][j]
-        return t % 1, tuple(free)
-
-    def halve(t, free):
-        if any(x % 2 for x in free):
-            raise ValueError(
-                "epsilon values do not determine the spin characters; free exponents must halve"
-            )
-        return (t % 1) / 2, tuple(x // 2 for x in free)
-
-    assignments = []
-    if fam == "A":
-        t_all, f_all = partial(n + 1)
-        if t_all != 0 or any(f_all):
-            raise ValueError(
-                "epsilon values for family A must have product 1 (determinant one)"
-            )
-        for i in range(1, n + 1):
-            t, f = partial(i)
-            assignments.append(ValueGroupElement(t, f))
-    elif fam in ("B", "C"):
-        for i in range(1, n):
-            t, f = partial(i)
-            assignments.append(ValueGroupElement(t, f))
-        t, f = partial(n)
-        if fam == "B":
-            t, f = halve(t, f)
-        assignments.append(ValueGroupElement(t % 1, f))
-    else:  # D
-        for i in range(1, n - 1):
-            t, f = partial(i)
-            assignments.append(ValueGroupElement(t, f))
-        signs = [1] * (n - 1) + [-1]
-        t, f = partial(n, signs)
-        assignments.append(ValueGroupElement(*halve(t, f)))
-        t, f = partial(n)
-        assignments.append(ValueGroupElement(*halve(t, f)))
-    denoms = (scale,) * k
-    return TorusElement(datum, tuple(assignments), label=label,
-                        gen_names=tuple(names), gen_denoms=denoms)
+        raise ValueError(f"{datum.name} needs {expect} epsilon values, got {len(tokens)}")
+    names = list(dict.fromkeys(name for tok in tokens for name in tok.powers))
+    scale = 2 if datum.family in "BD" else 1
+    free_columns = [[tok.powers.get(name, 0) * scale for tok in tokens] for name in names]
+    # Torsions as numerators over their least common denominator.
+    denom = lcm(*(tok.torsion.denominator for tok in tokens))
+    torsions = [tok.torsion.numerator * (denom // tok.torsion.denominator) for tok in tokens]
+    if datum.family == "A" and (sum(torsions) % denom or any(map(sum, free_columns))):
+        raise ValueError("epsilon values for family A must have product 1 (determinant one)")
+    assignments = tuple(
+        ValueGroupElement(_fraction(sum(map(mul, row, torsions)) % denom, denom * h),
+                          tuple(sum(map(mul, row, column)) // h for column in free_columns))
+        for h, row in rows
+    )
+    return TorusElement(datum, assignments, label=label,
+                        gen_names=tuple(names), gen_denoms=(scale,) * len(names))
 
 
 def torus_from_epsilon_text(datum: RootDatum, text: str, label="") -> TorusElement:
@@ -647,7 +605,7 @@ def torus_from_json(datum: RootDatum, payload, label="") -> TorusElement:
             vals.append(
                 ValueGroupElement.make(Fraction(item.get("torsion", "0")), item.get("free", []))
             )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad torus element JSON: {exc}") from None
     k = max((len(v.free) for v in vals), default=0)
     vals = [ValueGroupElement(v.torsion, v.free + (0,) * (k - len(v.free))) for v in vals]

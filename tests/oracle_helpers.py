@@ -173,7 +173,54 @@ def root_datum_oracle(family, rank):
         cartan_det=det,
         cartan_t_adj=tuple(tuple(int(x * det) for x in row) for row in inv),
         epsilon_map=fw_eps if family in "ABCD" else None,
+        epsilon_rows=epsilon_rows_oracle(family, fw_eps) if family in "ABCD" else None,
     )
+
+
+def epsilon_rows_oracle(family, fw_eps):
+    """Integer rows (h_i, c_i) with h_i omega_i = sum_j c_ij e_j, h_i the
+    least common denominator of the epsilon-coordinates of omega_i; for A
+    the coordinates are first shifted by the last one, so omega_i is
+    e_1 + ... + e_i."""
+    rows = []
+    for x in fw_eps:
+        if family == "A":
+            x = [c - x[-1] for c in x]
+        h = math.lcm(*(Fraction(c).denominator for c in x))
+        rows.append((h, tuple(int(c * h) for c in x)))
+    return tuple(rows)
+
+
+def epsilon_pairings_oracle(family, rank, vectors):
+    """Omega-coordinates of integer ambient vectors over the Bourbaki simple
+    roots of a type A-D: <x, alpha_r^vee> = 2 (x, alpha_r) / (alpha_r,
+    alpha_r) in the ambient dot product; a non-integral pairing fails the
+    assertion."""
+    simple = [[(k, c) for k, c in enumerate(a) if c] for a in _simple_roots_eps_oracle(family, rank)[0]]
+    out = []
+    for x in vectors:
+        coords = []
+        for a in simple:
+            q, rem = divmod(2 * sum(x[k] * c for k, c in a), sum(c * c for _, c in a))
+            assert rem == 0, (x, a)
+            coords.append(q)
+        out.append(tuple(coords))
+    return out
+
+
+def classical_roots_eps_oracle(family, rank):
+    """Positive roots of a type A-D in Bourbaki's epsilon-description (Lie
+    VI, Plates I-IV), each as {ambient index: coefficient}: e_i - e_j and,
+    except for A, e_i + e_j (i < j), plus e_i for B and 2 e_i for C."""
+    width = rank + (family == "A")
+    ambient = []
+    for i, j in itertools.combinations(range(width), 2):
+        ambient.append({i: 1, j: -1})
+        if family != "A":
+            ambient.append({i: 1, j: 1})
+    if family in "BC":
+        ambient += [{i: 1 if family == "B" else 2} for i in range(rank)]
+    return ambient
 
 
 def leq_oracle(datum, mu, lam):
@@ -287,10 +334,9 @@ def positive_roots_oracle(datum):
 
 
 def classical_positive_roots_oracle(family, rank):
-    """Positive roots of a type A-D from Bourbaki's epsilon-description (Lie
-    VI, Plates I-IV): e_i - e_j and, except for A, e_i + e_j (i < j), plus e_i
-    for B and 2 e_i for C.  Returns (height, omega-coordinates, (beta, beta)/2)
-    per root, sorted by height and then by coordinates.
+    """Positive roots of a type A-D from Bourbaki's epsilon-description
+    (``classical_roots_eps_oracle``).  Returns (height, omega-coordinates,
+    (beta, beta)/2) per root, sorted by height and then by coordinates.
 
     Only the ambient dot product is used, in integers: <beta, alpha_k^vee> =
     2 (beta, alpha_k) / (alpha_k, alpha_k), and the height is (beta, rho^vee)
@@ -301,34 +347,14 @@ def classical_positive_roots_oracle(family, rank):
     # 2 rho^vee: (2n - 2k) for A and B, (2n - 1 - 2k) for C, (2n - 2 - 2k) for D.
     top = 2 * n - {"A": 0, "B": 0, "C": 1, "D": 2}[family]
     rho_vee2 = [top - 2 * k for k in range(width)]
-    ambient = []  # each root as {ambient index: coefficient}
-    for i, j in itertools.combinations(range(width), 2):
-        ambient.append({i: 1, j: -1})
-        if family != "A":
-            ambient.append({i: 1, j: 1})
-    if family in "BC":
-        ambient += [{i: 1 if family == "B" else 2} for i in range(n)]
-    # <e_k, alpha_r^vee> = 2 a_r[k] / (alpha_r, alpha_r): an integer for A-D,
-    # nonzero for at most three r.
-    columns = []
-    for k in range(width):
-        col = []
-        for r, a in enumerate(simple):
-            q, rem = divmod(2 * a[k], sum(x * x for x in a))
-            assert rem == 0
-            if q:
-                col.append((r, q))
-        columns.append(col)
+    ambient = classical_roots_eps_oracle(family, rank)
+    vectors = [[beta.get(k, 0) for k in range(width)] for beta in ambient]
     out = []
-    for beta in ambient:
-        coords = [0] * n
-        for k, c in beta.items():
-            for r, q in columns[k]:
-                coords[r] += c * q
+    for beta, coords in zip(ambient, epsilon_pairings_oracle(family, rank, vectors)):
         height, odd = divmod(sum(c * rho_vee2[k] for k, c in beta.items()), 2)
         half, odd_half = divmod(scale * sum(c * c for c in beta.values()), 2)
         assert odd == odd_half == 0
-        out.append((height, tuple(coords), half))
+        out.append((height, coords, half))
     return tuple(sorted(out))
 
 

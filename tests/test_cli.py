@@ -227,6 +227,18 @@ def test_spectrum_rejects_an_omega_value_that_is_not_an_object(capsys, element):
     assert code == 2 and out == "" and "is not an object" in err
 
 
+@pytest.mark.parametrize("value", ['"torsion": 1e400', '"torsion": Infinity',
+                                   '"free": [-Infinity]', '"torsion": NaN'])
+def test_spectrum_rejects_a_value_that_is_not_finite(capsys, value):
+    # json reads 1e400 and Infinity as float infinities, which Fraction and
+    # int reject with OverflowError (NaN with ValueError).
+    element = '{"omega_values": [{%s}, {}]}' % value
+    code, out, err = invoke(
+        capsys, "spectrum", "--group", "C2", "--highest", "[1,0]", "--element", element
+    )
+    assert code == 2 and out == "" and "bad torus element JSON" in err
+
+
 def test_spectrum_rejects_a_fractional_free_exponent(capsys):
     element = '{"omega_values": [{"torsion": "0", "free": [1.5]}]}'
     code, out, err = invoke(

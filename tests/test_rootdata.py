@@ -87,7 +87,7 @@ def test_form_normalization_and_cartan_recovery(name):
 
 
 ORACLE_ATTRIBUTES = ("cartan", "_d", "form_scaled", "form_denominator",
-                     "cartan_det", "cartan_t_adj", "epsilon_map")
+                     "cartan_det", "cartan_t_adj", "epsilon_map", "epsilon_rows")
 
 
 @pytest.mark.parametrize("name", oh.RANK_AT_MOST_8 + [f"A{n}" for n in range(9, 13)])
@@ -98,6 +98,24 @@ def test_datum_matches_the_epsilon_realization_oracle(name):
     oracle = oh.root_datum_oracle(datum.family, datum.rank)
     for attr in ORACLE_ATTRIBUTES:
         assert getattr(datum, attr) == getattr(oracle, attr), attr
+
+
+@pytest.mark.parametrize("family,lo", [("A", 1), ("B", 2), ("C", 2), ("D", 4)])
+def test_epsilon_rows_are_unit_rows_over_one_or_two(family, lo):
+    # On every classical type, rank 32 included: h_i omega_i = sum_j c_ij e_j
+    # with h_i in {1, 2} and c_ij in {-1, 0, 1}, h_i = 2 exactly on the spin
+    # weights of B and D, and the rows agree with epsilon_map (A's shifted
+    # off the trace-zero hyperplane by its last coordinate).
+    for rank in range(lo, 33):
+        datum = build_root_datum(family, rank)
+        assert len(datum.epsilon_rows) == rank
+        spin = {"A": 0, "B": 1, "C": 0, "D": 2}[family]
+        for i, ((h, row), x) in enumerate(zip(datum.epsilon_rows, datum.epsilon_map)):
+            assert h == (2 if i >= rank - spin else 1), (datum.name, i)
+            assert set(row) <= {-1, 0, 1}, (datum.name, i)
+            shift = x[-1] if family == "A" else 0
+            assert row == tuple(h * (c - shift) for c in x), (datum.name, i)
+    assert build_root_datum("G", 2).epsilon_rows is None
 
 
 @pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
@@ -222,6 +240,20 @@ def test_epsilon_rejected_for_exceptional_families():
     g2 = build_root_datum("G", 2)
     with pytest.raises(UnsupportedRootSystemError):
         epsilon_values(g2, g2.rho)
+    with pytest.raises(UnsupportedRootSystemError):
+        weight_from_epsilon(g2, (1, 0, -1))
+    # A vector of the wrong length is rejected before any conversion, rather
+    # than raising IndexError (short) or dropping its extra entries (long).
+    for name, eps, width in [("A3", (1, 0, 0), 4), ("B3", (1, 0), 3), ("D4", (1, 0, 0), 4),
+                             ("A3", (1, 0, 0, 0, 5), 4), ("C3", (1, 0, 0, 7), 3)]:
+        with pytest.raises(ValueError, match=f"{name} needs {width} epsilon coordinates, "
+                                             f"got {len(eps)}"):
+            weight_from_epsilon(parse_group(name), eps)
+    # The half vector is a weight of B3 but not of C3.
+    half = (Fraction(1, 2),) * 3
+    assert weight_from_epsilon(parse_group("B3"), half) == parse_group("B3").fundamental_weight(3)
+    with pytest.raises(ValueError, match="not in the weight lattice of C3"):
+        weight_from_epsilon(parse_group("C3"), half)
 
 
 @pytest.mark.parametrize(
