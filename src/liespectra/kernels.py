@@ -10,9 +10,17 @@ dominant weight of one support has an orbit of the same shape.  For each
 (datum, support) met, one generic orbit is walked once and kept on the datum
 as slot columns (see `_orbit_template`); every orbit of that support is then
 filled in from the dominant weight's coroot pairings by C-level maps.  The
-Freudenthal recursion looks up every step of an alpha-string in the index;
-each string stops at its first dominant weight (see `freudenthal`).  Every
-kernel takes the RootDatum first and reads the root data it needs from it.
+fill follows the shape of the group of dominant weights on one support: a
+group of at most as many weights as its template has slots (the small
+modules of a sweep, and most supports of rank >= 3) is filled weight by
+weight, while a larger group (the modules of rank 1 and 2 with large
+coordinates) is filled slot by slot, one zip per template slot over pairing
+columns of the whole group.  The closure carries each dominant weight's
+|mu + rho|^2 down from lam, one coroot pairing per weight found, and the
+Freudenthal recursion reads its denominators off those norms.  The
+recursion looks up every step of an alpha-string in the index; each string
+stops at its first dominant weight (see `freudenthal`).  Every kernel takes
+the RootDatum first and reads the root data it needs from it.
 
 A module's closure and orbit index are computed once and shared by everything
 asked of that module (see `module_walk`): the multiplicities and the weight
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import chain, compress, repeat
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 # The only kernel implementation; perfbench/run.py reads this name.
 BACKEND = "pure"
@@ -64,31 +72,46 @@ def dominant_rep(datum, coords):
 
 
 def dominant_subdominants(datum, lam):
-    """All dominant weights subdominant to dominant lam, sorted by increasing
-    height deficit then lexicographically.
+    """(doms, norms): doms lists all dominant weights subdominant to dominant
+    lam, sorted by increasing height deficit then lexicographically, and
+    norms[i] = |doms[i] + rho|^2 in form_scaled units (the form times
+    form_denominator).
 
     Uses the positive-root downward walk on dominant weights; every dominant
     weight below lam is reachable this way because each strict dominance step
     between dominant weights refines into positive-root steps through
     dominant weights.  The deficit of mu is the height of lam - mu, which does
     not depend on the path, so each weight takes its parent's deficit plus the
-    height of the root stepped down by.
+    height of the root stepped down by.  The norm is carried the same way: with
+    F = form_denominator and d = (alpha, alpha)/2,
+    |mu - alpha + rho|^2 = |mu + rho|^2 - 2 d (<mu, alpha^vee> + ht(alpha^vee) - 1),
+    so a step down by alpha subtracts 2 F d (<mu, alpha^vee> + ht(alpha^vee) - 1)
+    in form_scaled units, one pairing per weight found.
     """
-    steps = tuple(zip(datum.positive_root_coords, datum.positive_root_heights))
+    scale = 2 * datum.form_denominator
+    steps = tuple(
+        (root, h, pv, scale * d, sum(pv) - 1)
+        for root, h, pv, d in zip(datum.positive_root_coords, datum.positive_root_heights,
+                                  datum.coroot_pairings, datum.root_half_lengths)
+    )
+    shifted = [x + 1 for x in lam]
     deficit = {lam: 0}
+    norm = {lam: sum(x * sum(map(mul, shifted, row)) for x, row in zip(shifted, datum.form_scaled))}
     frontier = [lam]
     while frontier:
         new = []
         for mu in frontier:
-            d = deficit[mu]
-            for root, h in steps:
+            d, q = deficit[mu], norm[mu]
+            for root, h, pv, c, shift in steps:
                 cand = tuple(map(sub, mu, root))
                 if cand not in deficit and min(cand) >= 0:
                     deficit[cand] = d + h
+                    norm[cand] = q - c * (sum(map(mul, mu, pv)) + shift)
                     new.append(cand)
         frontier = new
     # Lexicographic first, then a stable sort by deficit.
-    return sorted(sorted(deficit), key=deficit.__getitem__)
+    doms = sorted(sorted(deficit), key=deficit.__getitem__)
+    return doms, list(map(norm.__getitem__, doms))
 
 
 @lru_cache(maxsize=64)
@@ -228,16 +251,40 @@ def _orbit_template(datum, support):
     return template
 
 
+def _pairing_column(coords, support, r):
+    """[<mu, r^vee>] over the dominant weights of one support, given their
+    coordinate columns coords: one C-level map per coordinate of the support
+    that r pairs nonzero."""
+    terms = [col if c == 1 else list(map(mul, col, repeat(c)))
+             for col, c, s in zip(coords, r, support) if c and s]
+    total = terms[0]
+    for term in terms[1:]:
+        total = list(map(add, total, term))
+    return total
+
+
 def orbit_expand(datum, doms):
     """The orbit index of the distinct dominant weights doms: {weight: index
     in doms of its dominant weight} over all their Weyl orbits.
 
     The dominant weights are grouped by support, and each group is read off
-    its support's template (see _orbit_template) in one batch: the orbit of
-    mu is zip(*columns) with every slot replaced by its entry of p(mu), one
-    C-level map per column, and the group's orbits are chained into one
-    dict update.  A non-dominant or repeated start raises ValueError before
-    any weight is listed.
+    its support's template (see _orbit_template) in one batch.  The orbit of
+    mu is zip(*columns) with every slot replaced by its entry of p(mu).  Two
+    fills give the same items in the same order, dominant-major:
+
+    - per weight, for a group of at most as many weights as the template has
+      slots: p(mu) is built for each mu, and each orbit is n C-level maps of
+      p(mu).__getitem__ over the columns and a zip;
+    - slot-major, for a group of more weights than slots (many dominant
+      weights on a short template, as in the modules of rank 1 and 2 with
+      large coordinates): each entry of p is built once as a column over the
+      whole group by C-level maps on the group's coordinate columns (see
+      _pairing_column), then its negation and a zero column; each template
+      slot is one zip of its n columns, and the slots are read back
+      dominant-major by chain.from_iterable(zip(*slots)).
+
+    The group's orbits are chained into one dict update.  A non-dominant or
+    repeated start raises ValueError before any weight is listed.
     """
     doms = [tuple(d) for d in doms]
     if min(map(min, doms), default=0) < 0:
@@ -250,27 +297,38 @@ def orbit_expand(datum, doms):
     index = {}
     for support, ks in groups.items():
         reps, columns = _orbit_template(datum, support)
-        gets = []
-        for k in ks:
-            mu = doms[k]
-            p = [sum(map(mul, mu, r)) for r in reps]
-            p += [-x for x in p]
-            p.append(0)
-            gets.append(p.__getitem__)
-        weights = chain.from_iterable(map(zip, *[map(map, gets, repeat(col)) for col in columns]))
-        index.update(zip(weights, chain.from_iterable(map(repeat, ks, repeat(len(columns[0]))))))
+        size = len(columns[0])
+        if len(ks) > size:
+            coords = tuple(zip(*map(doms.__getitem__, ks)))
+            p = [_pairing_column(coords, support, r) for r in reps]
+            p += [list(map(neg, col)) for col in p]
+            p.append([0] * len(ks))
+            slots = [zip(*map(p.__getitem__, slot)) for slot in zip(*columns)]
+            weights = chain.from_iterable(zip(*slots))
+        else:
+            gets = []
+            for k in ks:
+                mu = doms[k]
+                p = [sum(map(mul, mu, r)) for r in reps]
+                p += [-x for x in p]
+                p.append(0)
+                gets.append(p.__getitem__)
+            weights = chain.from_iterable(
+                map(zip, *[map(map, gets, repeat(col)) for col in columns]))
+        index.update(zip(weights, chain.from_iterable(map(repeat, ks, repeat(size)))))
     return index
 
 
 class ModuleWalk:
-    """The dominant weights of one module, ``doms`` (as returned by
-    dominant_subdominants), and its orbit index ``index`` (as returned by
-    orbit_expand), expanded on first read.  Both are shared with every later
-    reader of the memo and must not be changed."""
+    """The dominant weights of one module and their norms, ``doms`` and
+    ``norms`` (as returned by dominant_subdominants), and its orbit index
+    ``index`` (as returned by orbit_expand), expanded on first read.  All are
+    shared with every later reader of the memo and must not be changed."""
 
-    def __init__(self, datum, doms):
+    def __init__(self, datum, doms, norms):
         self.datum = datum
         self.doms = doms
+        self.norms = norms
 
     @cached_property
     def index(self):
@@ -289,18 +347,7 @@ def module_walk(datum, lam):
     modules over and over (a benchmark reusing its inputs) would then time
     memo reads instead of kernels.
     """
-    return ModuleWalk(datum, dominant_subdominants(datum, lam))
-
-
-def _quad(coords, sform, n):
-    total = 0
-    for i in range(n):
-        ci = coords[i]
-        if ci:
-            row = sform[i]
-            for j in range(n):
-                total += ci * coords[j] * row[j]
-    return total
+    return ModuleWalk(datum, *dominant_subdominants(datum, lam))
 
 
 def freudenthal(datum, lam):
@@ -328,18 +375,19 @@ def freudenthal(datum, lam):
     sorted by increasing height deficit.  A string that leaves the weight set
     first ends there.  As mu is dominant, a string that steps off the
     dominant chamber never returns to it, so the stored sum is picked up at
-    mu+alpha or not at all.
+    mu+alpha or not at all.  The denominator |lam+rho|^2 - |mu+rho|^2 is
+    read off the norms the closure carried down (see dominant_subdominants),
+    so no quadratic form is evaluated per dominant weight.
 
     Every dominant weight below lam has multiplicity >= 1 in characteristic
     0, so a multiplicity that is not a positive integer is a fault and raises
     AssertionError.
     """
     walk = module_walk(datum, lam)
-    doms, index = walk.doms, walk.index
+    doms, norms, index = walk.doms, walk.norms, walk.index
     get = index.get
-    n, sform = datum.rank, datum.form_scaled
     steps = tuple(zip(datum.positive_root_coords, datum.coroot_pairings, datum.root_half_lengths))
-    qlam = _quad([x + 1 for x in lam], sform, n)
+    qlam, scale = norms[0], 2 * datum.form_denominator
     mults = [0] * len(doms)
     mults[0] = 1
     # suffix[i][r] = S_alpha(doms[i]) for alpha the r-th positive root; nothing lies above lam
@@ -361,8 +409,8 @@ def freudenthal(datum, lam):
                     break
             sums.append(s)
         suffix.append(sums)
-        denom = qlam - _quad([x + 1 for x in mu], sform, n)
-        num = 2 * datum.form_denominator * sum(sums)
+        denom = qlam - norms[idx]
+        num = scale * sum(sums)
         if denom <= 0 or num <= 0 or num % denom:
             raise AssertionError(
                 f"Freudenthal recursion gave {mu} the multiplicity {num}/{denom}, "

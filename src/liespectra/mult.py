@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import mul
 
 from .exceptions import DatumMismatchError, ResourceLimitError
@@ -148,7 +148,7 @@ def premet_weight_set(lam: Weight, orbit_bound: int = DEFAULT_ORBIT_BOUND):
     datum = lam.datum
     walk = kernels.module_walk(datum, lam.coords)
     order = datum.weyl_order()
-    supports = Counter(tuple(map(bool, mu)) for mu in walk.doms)
+    supports = Counter(map(tuple, map(map, repeat(bool), walk.doms)))
     total = sum(
         count * (order // datum.weyl_order(i for i, c in enumerate(nonzero) if not c))
         for nonzero, count in supports.items()

@@ -106,7 +106,7 @@ def subdominant_weights(lam: Weight):
     if not lam.is_dominant:
         raise ValueError(f"subdominant enumeration needs a dominant weight, got {lam}")
     datum = lam.datum
-    coords = kernels.dominant_subdominants(datum, lam.coords)
+    coords, _ = kernels.dominant_subdominants(datum, lam.coords)
     return tuple([Weight(c, datum) for c in coords])
 
 

@@ -5,8 +5,9 @@ decided by Fraction-valued Gaussian elimination, weight sets by the
 simple-root downward closure over all intermediate weights, multiplicities
 by the alternating Kostant partition-function sum over the full Weyl group,
 characters by summing Fractions over the fundamental weights, Kronecker
-products by adding values pairwise in the value group, root data from the
-Bourbaki epsilon-realizations and a Fraction Gram inverse, tensor product
+products by adding values pairwise in the value group, root data and the
+norms |mu + rho|^2 from the Bourbaki epsilon-realizations and a Fraction Gram
+inverse, tensor product
 decompositions by Brauer's formula.  ``sample_torus_element`` draws the
 torus elements of the property batteries.
 """
@@ -129,11 +130,11 @@ def _simple_roots_eps_oracle(family, rank):
     return alpha[:n], 1
 
 
-def root_datum_oracle(family, rank):
-    """The integer and rational data of a root datum, derived from its
-    epsilon-realization: the Cartan matrix from the Gram matrix of the simple
-    roots, the fundamental weights from the Gram inverse in Fractions.
-    Attribute names match RootDatum's."""
+@lru_cache(maxsize=None)
+def _fundamental_weights_eps_oracle(family, rank):
+    """(eform, lengths, fw_eps) of the epsilon-realization: its form, the
+    squared lengths of the simple roots, and the fundamental weights from the
+    Gram inverse in Fractions."""
     eps_simple, scale = _simple_roots_eps_oracle(family, rank)
     n = rank
 
@@ -142,11 +143,6 @@ def root_datum_oracle(family, rank):
 
     lengths = [eform(a, a) for a in eps_simple]
     assert min(lengths) == 2
-    cartan = []
-    for i in range(n):
-        row = [2 * eform(eps_simple[j], eps_simple[i]) / lengths[i] for j in range(n)]
-        assert all(x.denominator == 1 for x in row)
-        cartan.append(tuple(int(x) for x in row))
     gram_inv, _ = fraction_inverse_det(
         [[eform(eps_simple[i], eps_simple[j]) for j in range(n)] for i in range(n)]
     )
@@ -158,6 +154,22 @@ def root_datum_oracle(family, rank):
         )
         for i in range(n)
     )
+    return eform, lengths, fw_eps
+
+
+def root_datum_oracle(family, rank):
+    """The integer and rational data of a root datum, derived from its
+    epsilon-realization: the Cartan matrix from the Gram matrix of the simple
+    roots, the fundamental weights from the Gram inverse in Fractions.
+    Attribute names match RootDatum's."""
+    eps_simple, _ = _simple_roots_eps_oracle(family, rank)
+    eform, lengths, fw_eps = _fundamental_weights_eps_oracle(family, rank)
+    n = rank
+    cartan = []
+    for i in range(n):
+        row = [2 * eform(eps_simple[j], eps_simple[i]) / lengths[i] for j in range(n)]
+        assert all(x.denominator == 1 for x in row)
+        cartan.append(tuple(int(x) for x in row))
     form_matrix = tuple(tuple(eform(x, y) for y in fw_eps) for x in fw_eps)
     den = 1
     for row in form_matrix:
@@ -175,6 +187,15 @@ def root_datum_oracle(family, rank):
         epsilon_map=fw_eps if family in "ABCD" else None,
         epsilon_rows=epsilon_rows_oracle(family, fw_eps) if family in "ABCD" else None,
     )
+
+
+def rho_shifted_norm_oracle(datum, coords):
+    """|mu + rho|^2 as a Fraction for the weight mu with the given
+    omega-coordinates: sum_i (mu_i + 1) omega_i squared in the
+    epsilon-realization."""
+    eform, _, fw_eps = _fundamental_weights_eps_oracle(datum.family, datum.rank)
+    v = [sum((c + 1) * w[m] for c, w in zip(coords, fw_eps)) for m in range(len(fw_eps[0]))]
+    return eform(v, v)
 
 
 def epsilon_rows_oracle(family, fw_eps):

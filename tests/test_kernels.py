@@ -5,11 +5,14 @@ of the saturated weight set, and a breadth-first orbit search.  The
 Hypothesis properties compare the orbit walk with the breadth-first search on
 drawn weights, and one expansion over several dominant starts with the union
 of their orbits.  The per-support orbit templates are checked on every type
-of rank <= 8: their coroot classes on every support, and their expansions
-against the breadth-first orbits of small modules and small supports."""
+of rank <= 8: their coroot classes on every support, their expansions
+against the breadth-first orbits of small modules and small supports, and
+the slot-major fill against one expansion per weight.  The norms the closure
+carries are checked against Fractions in the epsilon-realization."""
 
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import compress, product
 
 import pytest
@@ -66,7 +69,7 @@ def test_orbit_expand_backends_agree(name, lam):
 def test_subdominant_backends_agree(name, lam):
     # The kernel's order: height deficit below lam, then lexicographic.
     datum = parse_group(name)
-    got = kernels.dominant_subdominants(datum, lam)
+    got, _ = kernels.dominant_subdominants(datum, lam)
 
     def deficit(mu):
         return sum(oh.root_coefficients_oracle(datum, [a - b for a, b in zip(lam, mu)]))
@@ -77,11 +80,16 @@ def test_subdominant_backends_agree(name, lam):
 def test_freudenthal_refuses_a_dominant_weight_of_multiplicity_zero(monkeypatch):
     # Every dominant weight below lam has multiplicity >= 1 in characteristic
     # 0.  Slip (1,), which is not a weight of the A1 module L(2), into the
-    # closure: its recursion sums to 0, and the kernel must not report it.
+    # closure, with its true norm |(1) + rho|^2 = 2, or 4 in form_scaled
+    # units: its recursion sums to 0, and the kernel must not report it.
     a1 = build_root_datum("A", 1)
     closure = kernels.dominant_subdominants
-    monkeypatch.setattr(kernels, "dominant_subdominants",
-                        lambda datum, lam: closure(datum, lam) + [(1,)])
+
+    def slipped(datum, lam):
+        doms, norms = closure(datum, lam)
+        return doms + [(1,)], norms + [4]
+
+    monkeypatch.setattr(kernels, "dominant_subdominants", slipped)
     kernels.module_walk.cache_clear()
     try:
         with pytest.raises(AssertionError, match="not a positive integer"):
@@ -243,7 +251,7 @@ def test_orbit_templates_match_the_oracle_on_small_modules(name):
     bound = 3875 if name == "E8" else MODULE_DIM_BOUND
     supports = set()
     for lam in (datum.zero(), *enumerate_modules(datum, bound)):
-        doms = kernels.dominant_subdominants(datum, lam.coords)
+        doms, _ = kernels.dominant_subdominants(datum, lam.coords)
         expected = oracle_index(datum, doms)
         assert kernels.orbit_expand(datum, doms) == expected
         supports.update(tuple(map(bool, d)) for d in doms)
@@ -269,6 +277,48 @@ def test_orbit_templates_match_the_oracle_on_every_small_support(name):
         doms = (lo, (0,) * n, hi)
         expected = oracle_index(datum, doms)
         assert kernels.orbit_expand(datum, doms) == expected
+
+
+TEMPLATE_SLOT_LIMIT = 60
+
+
+# E8's smallest orbit has 240 weights, so it has no support this small.
+@pytest.mark.parametrize("name", [name for name in oh.RANK_AT_MOST_8 if name != "E8"])
+def test_slot_and_weight_fills_agree_item_for_item(name):
+    # A group of more dominant weights of one support than its template has
+    # slots is filled slot by slot; a single weight is filled weight by
+    # weight.  For every support whose template has at most
+    # TEMPLATE_SLOT_LIMIT slots, size + 1 multiples of one dominant weight
+    # run the slot fill: its index must hold the breadth-first orbits, and
+    # list them in the order of one expansion per weight, dominant-major.
+    datum = parse_group(name)
+    for support in product((False, True), repeat=datum.rank):
+        if not any(support):
+            continue
+        lo = tuple(1 + i % 3 if s else 0 for i, s in enumerate(support))
+        size = orbit_size(datum.weight(lo))
+        if size > TEMPLATE_SLOT_LIMIT:
+            continue
+        doms = [tuple(c * x for x in lo) for c in range(1, size + 2)]
+        index = kernels.orbit_expand(datum, doms)
+        assert index == oracle_index(datum, doms)
+        singles = [(w, k) for k, mu in enumerate(doms) for w in kernels.orbit_expand(datum, [mu])]
+        assert list(index.items()) == singles
+
+
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
+def test_closure_carries_the_norms_of_the_shifted_weights(name):
+    # The closure carries |mu + rho|^2 (in form_scaled units) down from lam,
+    # one coroot pairing per step, and the Freudenthal denominators are read
+    # off it.  On the modules of the template test above, every dominant
+    # weight's norm must equal a Fraction computed in the epsilon-realization.
+    datum = parse_group(name)
+    bound = 3875 if name == "E8" else MODULE_DIM_BOUND
+    for lam in (datum.zero(), *enumerate_modules(datum, bound)):
+        doms, norms = kernels.dominant_subdominants(datum, lam.coords)
+        assert len(norms) == len(doms)
+        for mu, q in zip(doms, norms):
+            assert Fraction(q, datum.form_denominator) == oh.rho_shifted_norm_oracle(datum, mu)
 
 
 def test_a_rebuilt_datum_starts_with_no_templates():
@@ -299,11 +349,11 @@ def test_a_module_with_seen_supports_walks_no_orbit(monkeypatch):
         return walk(datum, start)
 
     monkeypatch.setattr(kernels, "walk_orbit", recording)
-    first = kernels.dominant_subdominants(datum, (0, 0, 2))
+    first, _ = kernels.dominant_subdominants(datum, (0, 0, 2))
     kernels.orbit_expand(datum, first)
     supports = {tuple(map(bool, d)) for d in first}
     assert len(walks) == len(supports)
-    second = kernels.dominant_subdominants(datum, (2, 0, 0))
+    second, _ = kernels.dominant_subdominants(datum, (2, 0, 0))
     assert {tuple(map(bool, d)) for d in second} <= supports
     expected = oracle_index(datum, second)
     assert kernels.orbit_expand(datum, second) == expected
