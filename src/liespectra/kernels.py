@@ -114,7 +114,6 @@ def dominant_subdominants(datum, lam):
     return doms, list(map(norm.__getitem__, doms))
 
 
-@lru_cache(maxsize=64)
 def _neighbours(alpha):
     """(near, later) for the simple-root omega-coordinates alpha: near[i] lists
     (j, alpha[i][j]) over the Dynkin neighbours j of i, and later[i] lists

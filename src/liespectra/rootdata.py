@@ -7,11 +7,11 @@ height, each with its simple-root coefficients and length.  One
 fraction-free determinant and adjugate of the Cartan matrix give the
 invariant form on the weight lattice, the simple-root coefficients of any
 other weight (``root_coefficients``) and, for families A-D, the
-epsilon-coordinates of the fundamental weights: as Fractions
-(``epsilon_map``, trace-zero for A) and as integer rows h_i omega_i =
+epsilon-coordinates of the fundamental weights as integer rows h_i omega_i =
 sum_j c_ij e_j (``epsilon_rows``; h_i = 2 on the B and D spin weights, else
-1; A's rows are e_1 + ... + e_i).  Rationals remain only in ``epsilon_map``
-and in ``form`` values.
+1; A's rows are e_1 + ... + e_i).  Rationals appear only in values computed
+on demand: ``form`` and ``epsilon_values`` (trace-zero for A), both read off
+the integer tables.
 
 Conventions (fixed throughout the package):
 
@@ -233,7 +233,6 @@ class RootDatum:
         # Root batches for TorusElement.residues (columns[i][r] is coordinate
         # i of root r) and their largest |coordinate|, 3 for G2, else 2.
         self.positive_root_columns = tuple(zip(*self.positive_root_coords))
-        self.simple_root_columns = tuple(zip(*self.simple_root_coords))
         self.root_coordinate_bound = max(max(map(abs, c)) for c in self.positive_root_columns)
 
         # The highest root is the unique root of greatest height, and the
@@ -255,20 +254,18 @@ class RootDatum:
             (h, frozenset(compress(range(n), c)))
             for h, (c, _, _) in zip(self.positive_root_heights, roots)
         )
-        self._indices = frozenset(range(n))
         self._weyl_orders = {}
         self._levels = {}  # dominant coords -> (weights.weight_level, True)
         self._level_steps = None  # weights._level_steps
         self._strata = {}  # depth -> torus.canonical_root_strata
         self._orbit_templates = {}  # support -> kernels._orbit_template
 
-        # Bourbaki epsilon-coordinates of omega_i = sum_j adj[j][i]/det alpha_j,
-        # and the integer rows (h_i, c_i); A's are shifted to e_1 + ... + e_i.
-        self.epsilon_map = self.epsilon_rows = None
+        # Bourbaki epsilon-coordinates of omega_i = sum_j adj[j][i]/det alpha_j
+        # as integer rows (h_i, c_i); A's are shifted to e_1 + ... + e_i.
+        self.epsilon_rows = None
         if family in "ABCD":
             eps_simple = _simple_roots_eps(family, rank)
             vs = [vec_mat(adj_i, eps_simple) for adj_i in self.cartan_t_adj]
-            self.epsilon_map = tuple(tuple(Fraction(x, det) for x in v) for v in vs)
             if family == "A":
                 vs = [[x - v[-1] for x in v] for v in vs]
             gs = [math.gcd(det, *v) for v in vs]
@@ -362,9 +359,10 @@ class RootDatum:
         order = self._weyl_orders.get(key)
         if order is None:
             # Only valid supports are memoized, so every bad one reaches this.
-            if not key <= self._indices:
+            bad = key - frozenset(range(self.rank))
+            if bad:
                 raise ValueError(
-                    f"simple-root indices {set(key - self._indices)} out of range "
+                    f"simple-root indices {set(bad)} out of range "
                     f"0..{self.rank - 1} for {self.name}"
                 )
             per_height = Counter(h for h, s in self._root_heights_supports if s <= key)
@@ -501,20 +499,32 @@ def e_constant(datum: RootDatum) -> int:
     return {"A": 1, "D": 1, "E": 1, "B": 2, "C": 2, "F": 2, "G": 3}[datum.family]
 
 
-def epsilon_values(datum: RootDatum, mu: Weight) -> tuple:
-    """Bourbaki epsilon-coordinates of a weight, for families A-D.
-
-    For family A the representative in the trace-zero hyperplane is returned;
-    differences of coordinates (hence roots and the lattice structure) are
-    normalization independent, and the omega-coordinates round-trip exactly.
-    """
-    if datum.epsilon_map is None:
+def _epsilon_rows(datum):
+    """``datum.epsilon_rows``, which only families A-D have."""
+    if datum.epsilon_rows is None:
         raise UnsupportedRootSystemError(
             f"epsilon coordinates are only defined for families A-D, not {datum.name}"
         )
+    return datum.epsilon_rows
+
+
+def epsilon_values(datum: RootDatum, mu: Weight) -> tuple:
+    """Bourbaki epsilon-coordinates of a weight (families A-D) as Fractions,
+    sum_i mu_i c_i / h_i over the integer rows ``epsilon_rows``.
+
+    For family A the mean is subtracted, giving the representative in the
+    trace-zero hyperplane; differences of coordinates (hence roots and the
+    lattice structure) are normalization independent, and the
+    omega-coordinates round-trip exactly.
+    """
+    rows = _epsilon_rows(datum)
     if mu.datum is not datum:
         raise DatumMismatchError("weight bound to a different datum")
-    return vec_mat(mu.coords, datum.epsilon_map)
+    vals = vec_mat([Fraction(m, h) for m, (h, _) in zip(mu.coords, rows)], [c for _, c in rows])
+    if datum.family == "A":
+        mean = sum(vals) / len(vals)
+        vals = tuple(x - mean for x in vals)
+    return vals
 
 
 def weight_from_epsilon(datum: RootDatum, eps: tuple) -> Weight:
@@ -522,11 +532,7 @@ def weight_from_epsilon(datum: RootDatum, eps: tuple) -> Weight:
     coordinates 2 (x, alpha_i) / (alpha_i, alpha_i) over Bourbaki's simple
     roots, in the ambient dot product.  A vector of the wrong length or
     off the weight lattice raises ValueError."""
-    if datum.epsilon_map is None:
-        raise UnsupportedRootSystemError(
-            f"epsilon coordinates are only defined for families A-D, not {datum.name}"
-        )
-    width = len(datum.epsilon_map[0])
+    width = len(_epsilon_rows(datum)[0][1])
     if len(eps) != width:
         raise ValueError(f"{datum.name} needs {width} epsilon coordinates, got {len(eps)}")
     x = [Fraction(v) for v in eps]

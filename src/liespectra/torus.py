@@ -287,8 +287,9 @@ def is_regular(s: TorusElement) -> bool:
 
 
 def is_central(s: TorusElement) -> bool:
-    """True iff every simple root is trivial at s: every residue is 0."""
-    _, residues = s.residues(s.datum.root_coordinate_bound, s.datum.simple_root_columns)
+    """True iff every simple root is trivial at s: every residue is 0.  Row i
+    of the Cartan matrix holds coordinate i of every simple root."""
+    _, residues = s.residues(s.datum.root_coordinate_bound, s.datum.cartan)
     return not any(residues)
 
 

@@ -558,6 +558,18 @@ def _sample_epsilon_tokens(datum: RootDatum, rng: random.Random):
     return tokens
 
 
+# The natural-module regularity rule per family: s is regular iff every value
+# of its spectrum has multiplicity 1, except the exempt values exp(2 pi i t),
+# listed by their torsions t (0 for 1, 1/2 for -1), which may have
+# multiplicity 2; and the message of a sample that breaks the rule.
+_NATURAL_RULES = {
+    "A": ((), "regular <-> simple spectrum"),
+    "B": ((Fraction(1, 2),), "regular <-> (-1 multiplicity <= 2, rest simple)"),
+    "C": ((), "regular <-> simple spectrum"),
+    "D": ((Fraction(0), Fraction(1, 2)), "regular <-> (1,-1 multiplicities <= 2, rest simple)"),
+}
+
+
 def verify_natural_module_regularity(
     family: str, rank: int, samples: int, seed: int
 ) -> VerificationReport:
@@ -575,6 +587,7 @@ def verify_natural_module_regularity(
     rng = random.Random(seed)
     nat = freudenthal_multiplicities(datum.fundamental_weight(1))
     adj2 = freudenthal_multiplicities(datum.fundamental_weight(2)) if family == "D" else None
+    exempt_torsions, rule = _NATURAL_RULES[family]
     counts = {"checked": 0, "skipped-central": 0}
     failures = []
     for idx in itertools.count():
@@ -588,34 +601,15 @@ def verify_natural_module_regularity(
         counts["checked"] += 1
         reg = is_regular(s)
         sp = spectrum_of_multiset(s, nat)
-        one = ValueGroupElement.identity(s.free_rank)
-        minus_one = ValueGroupElement(Fraction(1, 2), (0,) * s.free_rank)
-        m_one = sp.multiplicity(one)
-        m_minus = sp.multiplicity(minus_one)
-        others_simple_b = all(
-            m == 1 for v, m in sp.entries if v != minus_one
-        )
-        others_simple_d = all(
-            m == 1 for v, m in sp.entries if v != minus_one and v != one
-        )
-        if family in ("A", "C"):
-            cond = classify(sp).kind is SpectrumKind.SIMPLE
-            if reg != cond:
-                failures.append((idx, "regular <-> simple spectrum", s))
-        elif family == "B":
-            cond = m_minus <= 2 and others_simple_b
-            if reg != cond:
-                failures.append((idx, "regular <-> (-1 multiplicity <= 2, rest simple)", s))
-        else:  # D
-            cond = m_one <= 2 and m_minus <= 2 and others_simple_d
-            if reg != cond:
-                failures.append((idx, "regular <-> (1,-1 multiplicities <= 2, rest simple)", s))
-            if not is_almost_simple(sp):
-                sp2 = spectrum_of_multiset(s, adj2)
-                if is_almost_simple(sp2):
-                    failures.append((idx, "non-almost-simple on w1 forces same on w2", s))
+        exempt = {ValueGroupElement(t, (0,) * s.free_rank) for t in exempt_torsions}
+        if reg != all(m <= (2 if v in exempt else 1) for v, m in sp.entries):
+            failures.append((idx, rule, s))
+        if family == "D" and not is_almost_simple(sp):
+            sp2 = spectrum_of_multiset(s, adj2)
+            if is_almost_simple(sp2):
+                failures.append((idx, "non-almost-simple on w1 forces same on w2", s))
         if reg:
-            exceptional = family == "D" and m_one == 2 and m_minus == 2
+            exceptional = family == "D" and all(sp.multiplicity(v) == 2 for v in exempt)
             if is_almost_simple(sp) == exceptional:
                 failures.append((idx, "regular almost-simple dichotomy", s))
     rec.check(

@@ -6,7 +6,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from operator import add, le, mul, sub
+from operator import add, mul, sub
 
 from .exceptions import DatumMismatchError, ResourceLimitError
 from .rootdata import FrozenRecord, RootDatum, Weight
@@ -251,15 +251,12 @@ def is_minuscule(lam: Weight) -> bool:
 
     A dominant weight below lam is reached from lam by positive-root steps
     through dominant weights (see ``weight_level``), so lam has level 1 iff
-    no positive root beta leaves lam - beta dominant, i.e. none has every
-    omega-coordinate at most lam's.  No level is computed or memoized.
+    no positive root beta leaves lam - beta dominant: ``_steps_mask`` is
+    empty.  No level is computed or memoized.
     """
     if not lam.is_dominant:
         raise ValueError(f"minuscule test needs a dominant weight, got {lam}")
-    c = lam.coords
-    return not lam.is_zero and not any(
-        all(map(le, beta, c)) for beta in lam.datum.positive_root_coords
-    )
+    return not lam.is_zero and not _steps_mask(lam.coords, _level_steps(lam.datum))
 
 
 def level_sets(datum: RootDatum, max_level: int, height_bound: int):

@@ -161,7 +161,9 @@ def root_datum_oracle(family, rank):
     """The integer and rational data of a root datum, derived from its
     epsilon-realization: the Cartan matrix from the Gram matrix of the simple
     roots, the fundamental weights from the Gram inverse in Fractions.
-    Attribute names match RootDatum's."""
+    Attribute names match RootDatum's, except ``fundamental_epsilon``: the
+    epsilon-coordinates of the fundamental weights (trace-zero for A), the
+    values ``epsilon_values`` gives on them."""
     eps_simple, _ = _simple_roots_eps_oracle(family, rank)
     eform, lengths, fw_eps = _fundamental_weights_eps_oracle(family, rank)
     n = rank
@@ -184,7 +186,7 @@ def root_datum_oracle(family, rank):
         form_scaled=tuple(tuple(int(x * den) for x in row) for row in form_matrix),
         cartan_det=det,
         cartan_t_adj=tuple(tuple(int(x * det) for x in row) for row in inv),
-        epsilon_map=fw_eps if family in "ABCD" else None,
+        fundamental_epsilon=fw_eps if family in "ABCD" else None,
         epsilon_rows=epsilon_rows_oracle(family, fw_eps) if family in "ABCD" else None,
     )
 

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -87,7 +88,7 @@ def test_form_normalization_and_cartan_recovery(name):
 
 
 ORACLE_ATTRIBUTES = ("cartan", "_d", "form_scaled", "form_denominator",
-                     "cartan_det", "cartan_t_adj", "epsilon_map", "epsilon_rows")
+                     "cartan_det", "cartan_t_adj", "epsilon_rows")
 
 
 @pytest.mark.parametrize("name", oh.RANK_AT_MOST_8 + [f"A{n}" for n in range(9, 13)])
@@ -100,17 +101,37 @@ def test_datum_matches_the_epsilon_realization_oracle(name):
         assert getattr(datum, attr) == getattr(oracle, attr), attr
 
 
+@pytest.mark.parametrize("name", [n for n in oh.RANK_AT_MOST_8 if n[0] in "ABCD"]
+                         + [f"A{n}" for n in range(9, 13)])
+def test_epsilon_values_match_the_oracle_realization(name):
+    # epsilon_values reads the integer rows; the oracle has the fundamental
+    # weights from a Fraction Gram inverse (trace-zero for A).  Checked on
+    # every omega_i and on one random integer combination of them.
+    datum = parse_group(name)
+    fundamental = oh.root_datum_oracle(datum.family, datum.rank).fundamental_epsilon
+    for i, x in enumerate(fundamental, 1):
+        assert epsilon_values(datum, datum.fundamental_weight(i)) == x, i
+    rng = random.Random(name)
+    coeffs = [rng.randint(-9, 9) for _ in range(datum.rank)]
+    vals = epsilon_values(datum, datum.weight(coeffs))
+    assert vals == tuple(sum(c * x[m] for c, x in zip(coeffs, fundamental))
+                         for m in range(len(fundamental[0])))
+    assert all(type(v) is Fraction for v in vals)
+
+
 @pytest.mark.parametrize("family,lo", [("A", 1), ("B", 2), ("C", 2), ("D", 4)])
 def test_epsilon_rows_are_unit_rows_over_one_or_two(family, lo):
     # On every classical type, rank 32 included: h_i omega_i = sum_j c_ij e_j
     # with h_i in {1, 2} and c_ij in {-1, 0, 1}, h_i = 2 exactly on the spin
-    # weights of B and D, and the rows agree with epsilon_map (A's shifted
-    # off the trace-zero hyperplane by its last coordinate).
+    # weights of B and D, and the rows agree with epsilon_values of the
+    # fundamental weights (A's shifted off the trace-zero hyperplane by its
+    # last coordinate).
     for rank in range(lo, 33):
         datum = build_root_datum(family, rank)
         assert len(datum.epsilon_rows) == rank
         spin = {"A": 0, "B": 1, "C": 0, "D": 2}[family]
-        for i, ((h, row), x) in enumerate(zip(datum.epsilon_rows, datum.epsilon_map)):
+        for i, (h, row) in enumerate(datum.epsilon_rows):
+            x = epsilon_values(datum, datum.fundamental_weight(i + 1))
             assert h == (2 if i >= rank - spin else 1), (datum.name, i)
             assert set(row) <= {-1, 0, 1}, (datum.name, i)
             shift = x[-1] if family == "A" else 0

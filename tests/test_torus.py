@@ -251,7 +251,9 @@ def test_root_batches_are_the_root_columns_under_their_coordinate_bound(name):
     coords = [r.coords for r in datum.positive_roots]
     assert datum.root_coordinate_bound == max(abs(x) for c in coords for x in c)
     assert datum.positive_root_columns == tuple(zip(*coords))
-    assert datum.simple_root_columns == tuple(zip(*(a.coords for a in datum.simple_roots)))
+    # Row i of the Cartan matrix holds coordinate i of every simple root, so
+    # is_central reads the Cartan rows as its root batch.
+    assert datum.cartan == tuple(zip(*(a.coords for a in datum.simple_roots)))
 
 
 def test_g2_root_residues_need_the_coordinate_bound_3():

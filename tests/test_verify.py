@@ -6,7 +6,9 @@ import pytest
 
 import oracle_helpers as oh
 from liespectra import tables, verify
-from liespectra.mult import weyl_dimension_of
+from liespectra.mult import freudenthal_multiplicities, weyl_dimension_of
+from liespectra.spectra import spectrum_of_multiset
+from liespectra.torus import is_regular, parse_epsilon_shorthand, torus_from_epsilon
 from liespectra.exceptions import ResourceLimitError
 from liespectra import (
     build_root_datum,
@@ -109,6 +111,22 @@ def test_exceptional_sweeps_pass_at_depth_two(check, rank, dim_bound):
 def test_natural_module_regularity_pass(family, rank):
     report = verify_natural_module_regularity(family, rank, samples=80, seed=1)
     assert report.status == "Pass", report.cases
+
+
+@pytest.mark.parametrize("name,text", [("B3", "-1,a,b"), ("D4", "1,-1,a,b")])
+def test_natural_check_lets_the_exempt_values_double(monkeypatch, name, text):
+    # Regular elements whose natural-module spectrum doubles -1 (B), or both
+    # 1 and -1 (D): the exempt values of each family's regularity rule.
+    datum = parse_group(name)
+    tokens = parse_epsilon_shorthand(text)
+    monkeypatch.setattr(verify, "_sample_epsilon_tokens", lambda d, rng: tokens)
+    s = torus_from_epsilon(datum, tokens)
+    assert is_regular(s)
+    sp = spectrum_of_multiset(s, freudenthal_multiplicities(datum.fundamental_weight(1)))
+    assert sorted(m for _, m in sp.entries)[-2:] == ([2, 2] if name == "D4" else [1, 2])
+    report = verify_natural_module_regularity(datum.family, datum.rank, samples=1, seed=0)
+    assert report.status == "Pass", report.cases
+    assert report.cases[0]["label"] == f"{name}: 1 non-central samples, 0 central skipped"
 
 
 def test_natural_check_draws_past_the_sample_count_until_one_is_non_central():
