@@ -84,14 +84,12 @@ class WeightMultiset(FrozenRecord):
 
     def sorted_entries(self):
         """(coords, multiplicity) pairs sorted by height deficit below the
-        highest weight, then lexicographically (the CLI's report order)."""
-        datum, top = self.highest.datum, self.highest.coords
-
-        def key(item):
-            coeffs = datum.root_coefficients(tuple(a - b for a, b in zip(top, item[0])))
-            return (sum(coeffs), item[0])
-
-        return sorted(self.counts.items(), key=key)
+        highest weight, then lexicographically (the CLI's report order).
+        det times a weight's height is its dot product with the datum's
+        ``height_row``, and det > 0, so the deficit orders as minus that."""
+        heights = self.highest.datum.height_row
+        return sorted(self.counts.items(),
+                      key=lambda item: (-sum(map(mul, item[0], heights)), item[0]))
 
 
 _set_highest = WeightMultiset.highest.__set__

@@ -209,6 +209,9 @@ class RootDatum:
         det, adj = det_adjugate(cartan)
         self.cartan_det = det
         self.cartan_t_adj = tuple(tuple(adj[j][i] for j in range(n)) for i in range(n))
+        # det * ht(omega_i), ht the sum of simple-root coefficients: a weight's
+        # coordinates dotted with this row give det times its height.
+        self.height_row = tuple(map(sum, self.cartan_t_adj))
         raw = [[d[k] * adj[k][i] for k in range(n)] for i in range(n)]
         g = math.gcd(det, *(x for row in raw for x in row))
         # Invariant form on the weight lattice:

@@ -40,15 +40,6 @@ class ValueGroupElement(FrozenRecord):
         _set_torsion(self, torsion)
         _set_free(self, free)
 
-    # Written out for speed: values are dict keys in spectrum arithmetic.
-    def __eq__(self, other):
-        if other.__class__ is not ValueGroupElement:
-            return NotImplemented
-        return self.torsion == other.torsion and self.free == other.free
-
-    def __hash__(self):
-        return hash((self.torsion, self.free))
-
     @staticmethod
     def make(torsion, free):
         t = Fraction(torsion) % 1
@@ -191,7 +182,7 @@ class TorusElement(FrozenRecord):
 
     @property
     def free_rank(self):
-        return len(self.assignments[0].free) if self.assignments else 0
+        return len(self._fcols)
 
     def residues(self, c, columns):
         """(b, residues): an iterator over the residues x mod M of the packed
@@ -342,53 +333,43 @@ _set_spec_v = StratumSpec._v.__set__
 
 
 def generic_stratum_element(spec: StratumSpec, seed: int = 0) -> TorusElement:
-    """Generic element of the stratum: the quotient of the weight lattice by
-    the kernel is read from the spec's Smith form; free quotient generators
-    receive independent generic generators, torsion quotient generators the
-    requested (or seeded) roots of unity.
-
-    Evaluation collisions of the result are exactly the ones forced by the
-    kernel together with the chosen torsion values.
+    """Generic element of the stratum, read off the spec's Smith rows: row i
+    of v holds omega_i's quotient coordinates, so omega_i's free part is its
+    free coordinates v[i][r:] (one generic generator per free quotient
+    generator) and its torsion is sum_slot v[i][slot] t_slot mod 1 over the
+    torsion slots.  t_slot is the requested root of unity; a random.Random,
+    seeded from (seed, kernel), is built only for a slot without one.  The
+    label is ``ker(w1,...)`` (``ker(generic)`` for an empty kernel), then
+    ``[t{slot}=value;...]`` when the quotient has torsion.  Evaluation
+    collisions are exactly those forced by the kernel and torsion values.
     """
-    datum = spec.datum
-    n = datum.rank
     d, v = spec._d, spec._v
     r = len(d)
-    if r == n:
+    if r == spec.datum.rank:
         raise ValueError("stratum is central/finite: kernel has full rank")
-    torsion_slots = [i for i in range(r) if d[i] > 1]
-    free_slots = list(range(r, n))
-    k = len(free_slots)
-    rng = random.Random((seed, tuple(w.coords for w in spec.kernel_weights)).__repr__())
-    torsion_values = {}
-    for slot in torsion_slots:
+    rng = None
+    torsion_values = []  # (slot, t_slot)
+    for slot, order in enumerate(d):
+        if order == 1:
+            continue
         if slot in spec.torsion_choices:
             t = Fraction(spec.torsion_choices[slot]) % 1
-            if (t * d[slot]).denominator != 1:
+            if (t * order).denominator != 1:
                 raise ValueError(
-                    f"torsion choice {t} is invalid for a quotient generator of order {d[slot]}"
+                    f"torsion choice {t} is invalid for a quotient generator of order {order}"
                 )
         else:
-            orders = [m for m in DEFAULT_TORSION_ORDERS if d[slot] % m == 0]
-            m = rng.choice(orders)
+            rng = rng or random.Random(repr((seed, tuple(w.coords for w in spec.kernel_weights))))
+            m = rng.choice([m for m in DEFAULT_TORSION_ORDERS if order % m == 0])
             t = Fraction(rng.randrange(m), m)
-        torsion_values[slot] = t
-    assignments = []
-    for i in range(n):
-        x = [v[i][col] for col in range(n)]  # quotient coordinates of omega_i
-        t = sum((x[slot] * torsion_values[slot] for slot in torsion_slots), Fraction(0)) % 1
-        free = tuple(x[slot] for slot in free_slots)
-        assignments.append(ValueGroupElement(t, free))
-    label = describe_stratum(spec, torsion_values)
-    return TorusElement(datum, tuple(assignments), label=label)
-
-
-def describe_stratum(spec: StratumSpec, torsion_values):
-    kern = ",".join(str(w) for w in spec.kernel_weights) or "generic"
+        torsion_values.append((slot, t))
+    assignments = tuple(
+        ValueGroupElement(sum((row[slot] * t for slot, t in torsion_values), Fraction(0)) % 1,
+                          tuple(row[r:])) for row in v)
+    label = f"ker({','.join(map(str, spec.kernel_weights)) or 'generic'})"
     if torsion_values:
-        tpart = ";".join(f"t{slot}={val}" for slot, val in sorted(torsion_values.items()))
-        return f"ker({kern})[{tpart}]"
-    return f"ker({kern})"
+        label += f"[{';'.join(f't{slot}={t}' for slot, t in torsion_values)}]"
+    return TorusElement(spec.datum, assignments, label=label)
 
 
 def generic_regular_element(datum: RootDatum) -> TorusElement:
@@ -401,20 +382,10 @@ def stratum_torsion_decorations(spec: StratumSpec):
     """All torsion-choice maps for the stratum's torsion quotient generators
     with values of multiplicative order <= MAX_TORSION_ORDER (the trivial
     map first)."""
-    d = spec._d
-    slots = [i for i in range(len(d)) if d[i] > 1]
-    per_slot = []
-    for slot in slots:
-        vals = []
-        for num in range(d[slot]):
-            t = Fraction(num, d[slot])
-            if t == 0 or t.denominator <= MAX_TORSION_ORDER:
-                vals.append(t)
-        per_slot.append(vals)
-    out = []
-    for combo in itertools.product(*per_slot):
-        out.append(dict(zip(slots, combo)))
-    return out or [{}]
+    orders = {slot: order for slot, order in enumerate(spec._d) if order > 1}
+    per_slot = [[t for t in (Fraction(num, order) for num in range(order))
+                 if t.denominator <= MAX_TORSION_ORDER] for order in orders.values()]
+    return [dict(zip(orders, combo)) for combo in itertools.product(*per_slot)]
 
 
 def check_stratum_depth(depth: int):

@@ -402,19 +402,12 @@ def sweep_elements(datum: RootDatum, depth: int):
     and non-central: the characters trivial on it have the kernel's rank,
     below n (a full-rank kernel has no stratum), so they cannot hold the
     root lattice.  No element reads a seed: every torsion slot is decorated."""
-    out = []
-    seen = set()
+    elements = {}  # assignments -> the first element with them
     for kernel in canonical_root_strata(datum, depth):
-        base = StratumSpec(datum, kernel)
-        for decoration in stratum_torsion_decorations(base):
-            spec = StratumSpec(datum, kernel, decoration)
-            s = generic_stratum_element(spec)
-            key = tuple((v.torsion, v.free) for v in s.assignments)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(s)
-    return out
+        for decoration in stratum_torsion_decorations(StratumSpec(datum, kernel)):
+            s = generic_stratum_element(StratumSpec(datum, kernel, decoration))
+            elements.setdefault(s.assignments, s)
+    return list(elements.values())
 
 
 @lru_cache(maxsize=1)

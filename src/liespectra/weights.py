@@ -249,14 +249,16 @@ def weight_level(lam: Weight) -> int:
 def is_minuscule(lam: Weight) -> bool:
     """True iff lam is nonzero and of level 1 (single Weyl orbit module).
 
-    A dominant weight below lam is reached from lam by positive-root steps
-    through dominant weights (see ``weight_level``), so lam has level 1 iff
-    no positive root beta leaves lam - beta dominant: ``_steps_mask`` is
-    empty.  No level is computed or memoized.
+    A nonzero dominant lam is minuscule iff <lam, theta^vee> <= 1 for the
+    highest coroot theta^vee, the unique coroot of greatest height: every
+    positive coroot lies below it, so <lam, alpha^vee> lies in
+    [0, <lam, theta^vee>] (Humphreys, Lie Algebras, exercises to 13).  No
+    level is computed or memoized.
     """
     if not lam.is_dominant:
         raise ValueError(f"minuscule test needs a dominant weight, got {lam}")
-    return not lam.is_zero and not _steps_mask(lam.coords, _level_steps(lam.datum))
+    theta = max(lam.datum.coroot_pairings, key=sum)
+    return not lam.is_zero and sum(map(mul, lam.coords, theta)) <= 1
 
 
 def level_sets(datum: RootDatum, max_level: int, height_bound: int):
@@ -295,8 +297,7 @@ def level_sets(datum: RootDatum, max_level: int, height_bound: int):
     # Lowest first by height (det times the sum of the simple-root
     # coefficients, which every step lowers), so a listed weight is searched
     # under the full cap before a listed weight above it reads it.
-    heights = [sum(row) for row in datum.cartan_t_adj]
-    steps, known, levels = _level_steps(datum), {}, {}
+    steps, known, levels, heights = _level_steps(datum), {}, {}, datum.height_row
     for c in sorted(listed, key=lambda c: sum(map(mul, c, heights))):
         levels[c] = _capped_level(steps, known, c, max_level + 1)
     return tuple(LevelAssignment(Weight(c, datum), levels[c]) for c in listed

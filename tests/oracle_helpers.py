@@ -64,6 +64,18 @@ def root_coefficients_oracle(datum, coords):
     return tuple(int(c) for c in coeffs)
 
 
+def sorted_entries_oracle(ms):
+    """A multiset's (coords, multiplicity) pairs sorted by the sum of the
+    simple-root coefficients of highest - w, then by coordinates."""
+    datum, top = ms.highest.datum, ms.highest.coords
+
+    def key(item):
+        return (sum(datum.root_coefficients(tuple(a - b for a, b in zip(top, item[0])))),
+                item[0])
+
+    return sorted(ms.counts.items(), key=key)
+
+
 def fraction_inverse_det(a):
     """(inverse, determinant) of a square integer matrix by Fraction
     Gauss-Jordan elimination with row swaps; (None, 0) if it is singular."""

@@ -146,6 +146,18 @@ def test_multiplicities_match_kostant_oracle(name, coords):
         assert ms.multiplicity(mu) == oh.kostant_multiplicity(datum, coords, mu.coords)
 
 
+@pytest.mark.parametrize("name,coords", [
+    ("A1", (5,)), ("A2", (2, 1)), ("G2", (1, 1)), ("B3", (1, 0, 1)), ("C4", (0, 1, 0, 1)),
+    ("D5", (1, 0, 1, 0, 1)), ("F4", (0, 0, 1, 0)), ("E6", (1, 0, 0, 0, 0, 1)),
+    ("E7", (0, 0, 0, 0, 0, 1, 0)), ("E8", (0, 0, 0, 0, 0, 0, 0, 1)),
+])
+def test_sorted_entries_order_by_height_deficit_then_coordinates(name, coords):
+    # The sort key is one dot product with the datum's height row; the
+    # oracle solves for the simple-root coefficients of every deficit.
+    ms = freudenthal_multiplicities(parse_group(name).weight(coords))
+    assert ms.sorted_entries() == oh.sorted_entries_oracle(ms)
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
 def test_support_equals_premet_set_and_total_is_weyl_dimension(name):
     datum = parse_group(name)

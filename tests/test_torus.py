@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -368,6 +369,32 @@ def test_generic_stratum_is_deterministic():
     assert s1.assignments == s2.assignments
 
 
+def counting_rngs(monkeypatch):
+    """Make torus build its RNGs through a subclass that records each seed;
+    return the list of seeds."""
+    seeds = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, x=None):
+            seeds.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(torus_module, "random", SimpleNamespace(Random=CountingRandom))
+    return seeds
+
+
+def test_an_undecorated_torsion_slot_seeds_one_rng(monkeypatch):
+    c2 = build_root_datum("C", 2)
+    long_root = c2.highest_root  # 2 omega_1: the quotient is Z/2 + Z
+    assert c2.root_half_lengths[-1] == 2
+    spec = StratumSpec(c2, (long_root,))
+    plain = generic_stratum_element(spec, seed=3)
+    seeds = counting_rngs(monkeypatch)
+    s = generic_stratum_element(spec, seed=3)
+    assert seeds == [repr((3, (long_root.coords,)))]
+    assert s.assignments == plain.assignments and s.label == plain.label
+
+
 def test_canonical_root_strata_counts():
     a3 = build_root_datum("A", 3)
     assert len(canonical_root_strata(a3, 1)) == 1  # single length
@@ -701,3 +728,15 @@ def test_every_decorated_stratum_element_is_non_regular_and_non_central(name):
             for decoration in stratum_torsion_decorations(StratumSpec(datum, kernel)):
                 s = generic_stratum_element(StratumSpec(datum, kernel, decoration))
                 assert not is_regular(s) and not is_central(s), s.label
+
+
+@pytest.mark.parametrize("name", STRATA_GROUPS)
+def test_a_decorated_stratum_element_seeds_no_rng(name, monkeypatch):
+    # Every torsion slot of a decorated spec has its value, so no draw is due.
+    datum = parse_group(name)
+    seeds = counting_rngs(monkeypatch)
+    for depth in (1, 2):
+        for kernel in canonical_root_strata(datum, depth):
+            for decoration in stratum_torsion_decorations(StratumSpec(datum, kernel)):
+                generic_stratum_element(StratumSpec(datum, kernel, decoration), seed=1)
+    assert seeds == []

@@ -100,6 +100,12 @@ def test_equal_values_hash_equal(name):
     assert len({make(name), make(name)}) == 1
 
 
+def test_a_value_hashes_as_its_field_tuple_and_differs_from_it():
+    v = make("ValueGroupElement")
+    assert hash(v) == hash((v.torsion, v.free))
+    assert v != (v.torsion, v.free) and (v.torsion, v.free) != v
+
+
 @pytest.mark.parametrize("name", ["WeightMultiset", "StratumSpec", "VerificationReport"])
 def test_values_with_a_mutable_field_are_unhashable(name):
     with pytest.raises(TypeError):

@@ -263,6 +263,12 @@ def test_is_minuscule_computes_no_level(monkeypatch):
     assert not is_minuscule(e8.weight((1,) * 8))
     assert is_minuscule(parse_group("E7").fundamental_weight(7))
     assert not e8._levels
+    # The highest coroot decides, so the level layer's step table stays unbuilt.
+    assert e8._level_steps is None
+    d32 = RootDatum("D", 32)
+    assert [is_minuscule(d32.fundamental_weight(i)) for i in (1, 2, 31, 32)] == [
+        True, False, True, True]
+    assert d32._level_steps is None
 
 
 def test_level_sets_examples():
