@@ -20,11 +20,14 @@ from .rootdata import RootDatum, Weight, build_root_datum, e_constant, parse_gro
 
 def parse_weight_text(text: str, datum: RootDatum | None = None) -> Weight:
     """Parse 'FAMILYRANK:[c1,...,cn]' or, when a datum is supplied, bare
-    '[c1,...,cn]'."""
+    '[c1,...,cn]'; with a datum, a prefix must name the datum's group."""
     body = text.strip()
     if ":" in body:
         gname, _, body = body.partition(":")
-        datum = parse_group(gname.strip())
+        named = parse_group(gname.strip())
+        if datum is not None and named.name != datum.name:
+            raise ValueError(f"weight {text!r} names {named.name}, but the group is {datum.name}")
+        datum = named
     if datum is None:
         raise ValueError(f"weight {text!r} carries no group; pass --group or prefix 'A2:'")
     body = body.strip()
@@ -98,8 +101,6 @@ def _emit(payload, as_json, render):
 def _cmd_weights(args):
     datum = parse_group(args.group)
     lam = parse_weight_text(args.highest, datum)
-    if not lam.is_dominant:
-        raise ValueError(f"highest weight {args.highest!r} is not dominant")
     ms = mult.freudenthal_multiplicities(lam, args.dim_bound)
     payload = {
         "highest": str(lam),
@@ -141,8 +142,6 @@ def _element_from_args(datum, args):
 def _cmd_spectrum(args):
     datum = parse_group(args.group)
     lam = parse_weight_text(args.highest, datum)
-    if not lam.is_dominant:
-        raise ValueError(f"highest weight {args.highest!r} is not dominant")
     s = _element_from_args(datum, args)
     ms = mult.freudenthal_multiplicities(lam, args.dim_bound)
     sp = spectra.spectrum_of_multiset(s, ms)
@@ -201,11 +200,9 @@ def _cmd_levels(args):
 
 
 def _cmd_verify(args):
-    if args.check != "witnesses" and (not args.family or args.rank is None):
-        raise ValueError(f"check {args.check!r} needs --family and --rank")
     report = verify.run_check(
         args.check,
-        family=(args.family or "").upper(),
+        family=args.family and args.family.upper(),
         rank=args.rank,
         dim_bound=args.dim_bound,
         depth=args.depth,

@@ -11,10 +11,6 @@ and cubic algorithms below are plenty.
 from __future__ import annotations
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def hermite_normal_form(rows):
     """Row-style HNF of an integer matrix (list of row tuples).
 
@@ -77,7 +73,7 @@ def smith_normal_form(a):
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     m = [list(row) for row in a]
-    v = identity_matrix(ncols)
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]

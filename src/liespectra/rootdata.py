@@ -148,17 +148,8 @@ class Weight(FrozenRecord):
         self._check(other)
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)), self.datum)
 
-    def __sub__(self, other):
-        self._check(other)
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)), self.datum)
-
     def __neg__(self):
         return Weight(tuple(-a for a in self.coords), self.datum)
-
-    def __mul__(self, k):
-        return Weight(tuple(k * a for a in self.coords), self.datum)
-
-    __rmul__ = __mul__
 
     @property
     def is_dominant(self):

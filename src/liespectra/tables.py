@@ -1,6 +1,9 @@
 """Reference data for the verification checks: expected level sets for the
 classical families and the expected almost-simple module lists and
-multiplicity caps for the classification sweep.
+multiplicity caps for the classification sweep.  The caps are stated once
+per family rule, and B2's are not mirrored from C2's by hand: the B rule
+gives its dimension-5 cap 4, and on its dimension-4 module the C/D rule's
+cap 2n - 2 = 2 is the rank, the cap of every module no rule names.
 
 Level cells are given as coordinate tuples.  For rank 1 the two-column
 pattern of the general A row degenerates: the level-2 set there is
@@ -35,17 +38,11 @@ def level_reference(family: str, rank: int):
             l2.add(_unit(n, i, n - 1))
         return {"L1": l1, "L2": l2, "L3_radical": None}
     if family == "B":
-        if n == 2:
-            # Rank-2 case, mirror of C2 under the diagram swap.
-            return {
-                "L1": {zero, (0, 1)},
-                "L2": {(1, 0), (1, 1)},
-                "L3_radical": {(0, 2)},
-            }
         return {
             "L1": {zero, _unit(n, n - 1)},
             "L2": {_unit(n, 0), _unit(n, 0, n - 1)},
-            "L3_radical": {_unit(n, 1)},
+            # omega2 of B2 is the spin weight; its radical multiple is 2 omega2.
+            "L3_radical": {_unit(n, 1, 1) if n == 2 else _unit(n, 1)},
         }
     if family == "C":
         if n == 2:
@@ -70,37 +67,21 @@ def level_reference(family: str, rank: int):
     return None
 
 
+# Permitted modules beyond omega1 (and omega_n on A), by 0-based index: the
+# natural module of an isomorphic type (A3 = D3, B2 = C2) and D4's triality
+# images of its natural module.
+_OTHER_NATURAL = {"A3": (1,), "B2": (1,), "C2": (1,), "D4": (2, 3)}
+
+
 def permitted_almost_simple(datum):
     """Fundamental-weight coordinate tuples of the modules on which a
     non-regular non-central semisimple element can have almost simple
     spectrum (characteristic 0)."""
     fam, n = datum.family, datum.rank
-
-    def unit(i):
-        return _unit(n, i)
-
-    if fam == "A":
-        if n == 1:
-            return set()
-        out = {unit(0), unit(n - 1)}
-        if n == 3:
-            out.add(unit(1))
-        return out
-    if fam == "B":
-        if n == 2:
-            return {unit(0), unit(1)}
-        return {unit(0)}
-    if fam == "C":
-        out = {unit(0)}
-        if n == 2:
-            out.add(unit(1))
-        return out
-    if fam == "D":
-        out = {unit(0)}
-        if n == 4:
-            out.update({unit(2), unit(3)})
-        return out
-    return set()
+    if fam not in "ABCD" or datum.name == "A1":
+        return set()
+    indices = {0, n - 1} if fam == "A" else {0}
+    return {_unit(n, i) for i in indices.union(_OTHER_NATURAL.get(datum.name, ()))}
 
 
 def root_pair_almost_simple(datum):
@@ -110,38 +91,24 @@ def root_pair_almost_simple(datum):
     eigenvalues are the t_i^(+-1); a root e_i -+ e_j in the kernel makes
     t_i = t_j^(+-1), so t_i and t_i^-1 each occur at least twice, and an
     almost simple spectrum forces t_i = t_j = +-1, which puts e_i +- e_j in
-    the kernel too.  A depth-1 sweep therefore finds no witness on them."""
-    fam, n = datum.family, datum.rank
-    if fam == "A" and n == 3:
-        return {_unit(n, 1)}
-    if fam == "D":
-        out = {_unit(n, 0)}
-        if n == 4:
-            out.update({_unit(n, 2), _unit(n, 3)})
-        return out
-    return set()
+    the kernel too.  A depth-1 sweep therefore finds no witness on them.
+    On D_n these are all the permitted modules."""
+    if datum.family == "D":
+        return permitted_almost_simple(datum)
+    return {(0, 1, 0)} if datum.name == "A3" else set()
 
 
 def multiplicity_cap(datum, dim):
     """Cap on eigenvalue multiplicities of an almost-simple outcome on a
-    module of the given dimension."""
-    fam, n = datum.family, datum.rank
-    if fam == "A" and n == 3 and dim == 6:
-        return 4
-    if fam == "B":
-        if n == 2:
-            # Rank-2 mirror of the C2 caps.
-            if dim == 5:
-                return 4
-            if dim == 4:
-                return 2
-        elif dim == 2 * n + 1:
-            return 2 * n
-    if fam == "C":
-        if dim == 2 * n:
-            return 2 * n - 2
-        if n == 2 and dim == 5:
-            return 4
-    if fam == "D" and dim == 2 * n:
+    module of the given dimension: 2n - 2 on the 2n-dimensional modules of
+    C_n and D_n (A3's 6-dimensional L(omega2) is the natural module of D3;
+    on B2's 4-dimensional spin module, the natural module of C2, 2n - 2 is
+    the rank), 2n on the (2n + 1)-dimensional modules of B_n (C2's
+    5-dimensional L(omega2) is the natural module of B2), and the rank
+    otherwise."""
+    n = datum.rank
+    if dim == 2 * n and (datum.family in "CD" or datum.name == "A3"):
         return 2 * n - 2
-    return datum.rank
+    if dim == 2 * n + 1 and (datum.family == "B" or datum.name == "C2"):
+        return 2 * n
+    return n

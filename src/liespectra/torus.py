@@ -49,10 +49,6 @@ class ValueGroupElement(FrozenRecord):
             raise ValueError(f"free exponents must be integers, got {list(free)}")
         return ValueGroupElement(t, exponents)
 
-    @staticmethod
-    def identity(k):
-        return ValueGroupElement(Fraction(0), (0,) * k)
-
     def __add__(self, other):
         if len(self.free) != len(other.free):
             raise ValueError("value-group elements from different ambient contexts")

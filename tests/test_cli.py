@@ -166,6 +166,24 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("weights", ()), ("spectrum", ("--epsilon", "a,1,1/a")),
+])
+def test_a_highest_weight_prefix_must_name_the_group(capsys, command, extra):
+    code, out, err = invoke(capsys, command, "--group", "A2", "--highest", "B2:[1,0]", *extra)
+    assert code == 2 and out == ""
+    assert "B2" in err and "A2" in err
+    code, qualified, _ = invoke(capsys, command, "--group", "A2", "--highest", "A2:[1,1]", *extra)
+    assert code == 0
+    assert qualified == invoke(capsys, command, "--group", "A2", "--highest", "[1,1]", *extra)[1]
+
+
+def test_spectrum_rejects_a_bad_inline_element_json(capsys):
+    code, out, err = invoke(capsys, "spectrum", "--group", "A3", "--highest", "[0,1,0]",
+                            "--element", "{bad")
+    assert code == 2 and out == "" and "bad torus element JSON" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["info", "--group", "A\u00b2"], "cannot parse group 'A\u00b2'"),
     (["info", "--group", "A\u0662x"], "cannot parse group"),

@@ -7,12 +7,14 @@ import inspect
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import liespectra
 from liespectra import cli, verify
+from liespectra.exceptions import DatumMismatchError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,10 +79,11 @@ def test_importing_the_package_executes_no_submodule():
 
 
 @pytest.mark.parametrize("argv,unexecuted", [
-    (["info", "--group", "A2"], {"weights", "torus", "spectra", "tables", "verify"}),
+    (["info", "--group", "A2"], {"weights", "torus", "spectra", "tables", "verify", "linalg"}),
     (["weights", "--group", "A2", "--highest", "[1,1]"],
-     {"weights", "torus", "spectra", "tables", "verify"}),
-    (["levels", "--family", "A", "--rank", "2"], {"mult", "torus", "spectra", "tables", "verify"}),
+     {"weights", "torus", "spectra", "tables", "verify", "linalg"}),
+    (["levels", "--family", "A", "--rank", "2"],
+     {"mult", "torus", "spectra", "tables", "verify", "linalg"}),
     (["spectrum", "--group", "A3", "--highest", "[0,1,0]", "--epsilon", "a,a,1/a,1/a"],
      {"tables", "verify"}),
 ])
@@ -124,7 +127,8 @@ DELETED = {
     "mult.WeightMultiset": ("nonzero_multiplicities_all_one", "columns_by_multiplicity"),
     "spectra.Spectrum": ("as_dict", "inversion_symmetric"),
     "spectra": ("classify_multiset",),
-    "torus.ValueGroupElement": ("is_identity", "scale"),
+    "rootdata.Weight": ("__sub__", "__mul__", "__rmul__"),
+    "torus.ValueGroupElement": ("is_identity", "scale", "identity"),
     "weights": ("dominates", "enumerate_dominant_by_sum"),
     "verify": ("sample_torus_element",),
 }
@@ -176,3 +180,34 @@ def test_cli_module_writes_nothing_to_stderr(argv):
                           text=True, timeout=120)
     assert proc.returncode == 0 and proc.stdout
     assert proc.stderr == ""
+
+
+_A2, _B2 = liespectra.build_root_datum("A", 2), liespectra.build_root_datum("B", 2)
+_ON_A2 = liespectra.torus_element(_A2, [(Fraction(1, 2), (1,)), (0, (0,))], "s")
+_B2_WEIGHT, _NOT_DOMINANT = _B2.weight((1, 0)), _A2.weight((1, -1))
+
+
+# Public entry points reject a weight of another datum, a non-dominant
+# highest weight and malformed values before any work.
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: liespectra.epsilon_values(_A2, _B2_WEIGHT), DatumMismatchError, "different datum"),
+    (lambda: liespectra.evaluate(_ON_A2, _B2_WEIGHT), DatumMismatchError, "different datum"),
+    (lambda: liespectra.StratumSpec(_A2, (_B2.weight((1, -1)),)), DatumMismatchError,
+     "different datum"),
+    (lambda: liespectra.spectra.almost_simple_class(
+        _ON_A2, liespectra.freudenthal_multiplicities(_B2_WEIGHT)), DatumMismatchError,
+     "different datum"),
+    (lambda: liespectra.weyl_dimension(_NOT_DOMINANT), ValueError, "Weyl dimension needs"),
+    (lambda: liespectra.premet_weight_set(_NOT_DOMINANT), ValueError, "weight set enumeration"),
+    (lambda: liespectra.weight_level(_NOT_DOMINANT), ValueError, "weight level needs"),
+    (lambda: liespectra.is_minuscule(_NOT_DOMINANT), ValueError, "minuscule test needs"),
+    (lambda: liespectra.TorusElement(_A2, (liespectra.ValueGroupElement(Fraction(0), (1,)),
+                                           liespectra.ValueGroupElement(Fraction(0), (1, 2)))),
+     ValueError, "different lengths"),
+    (lambda: _A2.fundamental_weight(0), ValueError, "out of range"),
+], ids=["epsilon_values", "evaluate", "StratumSpec", "almost_simple_class", "weyl_dimension",
+        "premet_weight_set", "weight_level", "is_minuscule", "TorusElement",
+        "fundamental_weight"])
+def test_public_guards_reject_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

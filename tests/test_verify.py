@@ -22,7 +22,7 @@ from liespectra import (
 )
 
 LEVEL_DATA = [("A", r) for r in (1, 2, 3, 4, 5)] + \
-    [("B", r) for r in (3, 4, 5)] + \
+    [("B", r) for r in (2, 3, 4, 5)] + \
     [("C", r) for r in (2, 3, 4, 5)] + \
     [("D", r) for r in (4, 5, 6)]
 
@@ -54,15 +54,64 @@ def test_level_table_rejects_unknown_family():
         verify_level_table("E", 6)
 
 
+# Every case of the witness battery, in order: each element's non-regular
+# (and, where claimed, non-central) or regular case, then its spectra.
+WITNESS_LABELS = [
+    "A3 diag(a,a,1/a,1/a) non-regular",
+    "A3 diag(a,a,1/a,1/a) non-central",
+    "A3 diag(a,a,1/a,1/a) on w2:spectrum",
+    "A3 diag(a,a,1/a,1/a) on w2:class",
+    "A3 diag(a,a,1/a,1/a): w2 value",
+    "A3 diag(a,a,-1/a,-1/a) assignments",
+    "A3 diag(a,a,-1/a,-1/a) on w2:spectrum",
+    "A3 diag(a,a,-1/a,-1/a) on w2:class",
+    "C2 eps(a,a) non-regular",
+    "C2 eps(a,a) non-central",
+    "C2 eps(a,a) on w2:spectrum",
+    "C2 eps(a,a) on w2:class",
+    "C2 eps(1,-1) non-regular",
+    "C2 eps(1,-1) non-central",
+    "C2 eps(1,-1) on w2:spectrum",
+    "C2 eps(1,-1) on w2:class",
+    "C2 eps(1,a) non-regular",
+    "C2 eps(1,a) on w1:spectrum",
+    "C2 eps(1,a) on w1:class",
+    "C2 eps(-1,a) non-regular",
+    "C2 eps(-1,a) on w1:spectrum",
+    "C2 eps(-1,a) on w1:class",
+    "A2 diag(a,a,1/a^2) non-regular",
+    "A2 diag(a,a,1/a^2) non-central",
+    "A2 diag(a,a,1/a^2) on adjoint:spectrum",
+    "A2 diag(a,a,1/a^2) on adjoint:class",
+    "D4 eps(a,a,a,a) non-regular",
+    "D4 eps(a,a,a,a) non-central",
+    "D4 eps(a,a,a,a) on w4:spectrum",
+    "D4 eps(a,a,a,a) on w4:class",
+    "D4 eps(a,a,a,a) on w1:spectrum",
+    "D4 eps(a,a,a,a) on w1:class",
+    "C3 eps(a,b,c) regular",
+    "C3 eps(a,b,c) simple on w1",
+    "A3 generic regular",
+    "A3 generic simple on w1",
+    "B3 eps(-1,a,b) regular",
+    "B3 eps(-1,a,b) w1 multiplicity of -1",
+    "B3 eps(-1,a,b) almost simple on w1",
+    "D4 eps(1,-1,a,b) regular",
+    "D4 eps(1,-1,a,b) mult of 1",
+    "D4 eps(1,-1,a,b) mult of -1",
+    "D4 eps(1,-1,a,b) not almost simple on w1 (stated exception)",
+]
+
+
 def test_witnesses_pass():
     report = verify_witness_elements()
     assert report.status == "Pass", [c for c in report.cases if not c["ok"]]
-    assert len(report.cases) > 20
+    assert [c["label"] for c in report.cases] == WITNESS_LABELS
 
 
 def test_sweep_small_groups_at_depth_one():
-    # Single-root strata are enough for the rank-2 groups.
-    for fam, rank, bound in [("A", 2, 20), ("C", 2, 30), ("G", 2, 30)]:
+    # Single-root strata are enough for the rank-2 groups; A1 has no permitted module.
+    for fam, rank, bound in [("A", 1, 30), ("A", 2, 20), ("B", 2, 30), ("C", 2, 30), ("G", 2, 30)]:
         datum = build_root_datum(fam, rank)
         report = verify_classification_sweep(datum, bound, 1, seed=0)
         assert report.status == "Pass", (fam, rank, [c for c in report.cases if not c["ok"]])
@@ -94,10 +143,30 @@ def test_sweep_d4_triality_modules_at_depth_two():
 
 
 def test_bounds_checks_pass():
-    for fam, rank, bound in [("A", 3, 40), ("B", 3, 40), ("C", 2, 35), ("D", 4, 50)]:
+    for fam, rank, bound in [("A", 1, 30), ("A", 3, 40), ("B", 2, 35), ("B", 3, 40),
+                             ("C", 2, 35), ("D", 4, 50)]:
         datum = build_root_datum(fam, rank)
         report = verify_multiplicity_bounds(datum, bound, seed=0)
         assert report.status == "Pass", (fam, rank)
+
+
+def test_b2_caps_are_those_of_c2():
+    # B2 = C2: the 4-dimensional spin module of B2 is C2's natural module,
+    # and C2's 5-dimensional L(omega2) is B2's natural module.
+    b2, c2 = build_root_datum("B", 2), build_root_datum("C", 2)
+    assert [tables.multiplicity_cap(b2, dim) for dim in (4, 5)] == [2, 4]
+    assert [tables.multiplicity_cap(c2, dim) for dim in (4, 5)] == [2, 4]
+    report = verify_multiplicity_bounds(b2, 5, seed=0)
+    assert [(c["label"].split(" via ")[0], c["expected"]) for c in report.cases] == [
+        ("B2:[0,1] (dim 4)", "<= 2"), ("B2:[0,1] (dim 4)", "<= 2"), ("B2:[1,0] (dim 5)", "<= 4")]
+
+
+def test_c99_with_no_module_in_bound_records_one_passing_case():
+    # A1's smallest nonzero module has dimension 2.
+    report = run_check("c99", family="A", rank=1, dim_bound=1, depth=1)
+    assert report.status == "Pass"
+    assert report.cases == [
+        {"label": "no modules within bound", "expected": "True", "actual": "True", "ok": True}]
 
 
 @pytest.mark.parametrize("check", ["c99", "bounds"])
@@ -127,6 +196,32 @@ def test_natural_check_lets_the_exempt_values_double(monkeypatch, name, text):
     report = verify_natural_module_regularity(datum.family, datum.rank, samples=1, seed=0)
     assert report.status == "Pass", report.cases
     assert report.cases[0]["label"] == f"{name}: 1 non-central samples, 0 central skipped"
+
+
+def _first_violation(report):
+    assert report.status == "Fail"
+    return report.cases[-1]["actual"]
+
+
+def test_natural_check_reports_a_broken_regularity_rule(monkeypatch):
+    regular = verify.is_regular
+    monkeypatch.setattr(verify, "is_regular", lambda s: not regular(s))
+    report = verify_natural_module_regularity("C", 3, samples=20, seed=1)
+    assert ", regular <-> simple spectrum)" in _first_violation(report)
+
+
+def test_natural_check_reports_a_d_spectrum_that_is_almost_simple_only_on_w2(monkeypatch):
+    # Almost simple exactly on the 28-dimensional L(omega2) of D4.
+    monkeypatch.setattr(verify, "is_almost_simple", lambda sp: sp.total == 28)
+    report = verify_natural_module_regularity("D", 4, samples=20, seed=1)
+    assert ", non-almost-simple on w1 forces same on w2)" in _first_violation(report)
+
+
+def test_natural_check_reports_a_broken_regular_dichotomy(monkeypatch):
+    almost_simple = verify.is_almost_simple
+    monkeypatch.setattr(verify, "is_almost_simple", lambda sp: not almost_simple(sp))
+    report = verify_natural_module_regularity("C", 3, samples=20, seed=1)
+    assert ", regular almost-simple dichotomy)" in _first_violation(report)
 
 
 def test_natural_check_draws_past_the_sample_count_until_one_is_non_central():
