@@ -13,23 +13,20 @@ import json
 import sys
 
 from . import CHECK_IDS, mult, spectra, torus, verify, weights
-from .exceptions import ResourceLimitError, UnsupportedRootSystemError
+from .exceptions import ResourceLimitError
 from .kernels import DEFAULT_DIM_BOUND
 from .rootdata import RootDatum, Weight, build_root_datum, e_constant, parse_group
 
 
-def parse_weight_text(text: str, datum: RootDatum | None = None) -> Weight:
-    """Parse 'FAMILYRANK:[c1,...,cn]' or, when a datum is supplied, bare
-    '[c1,...,cn]'; with a datum, a prefix must name the datum's group."""
+def parse_weight_text(text: str, datum: RootDatum) -> Weight:
+    """Parse '[c1,...,cn]' as a weight of datum, or 'FAMILYRANK:[c1,...,cn]'
+    whose prefix names the datum's group."""
     body = text.strip()
     if ":" in body:
         gname, _, body = body.partition(":")
         named = parse_group(gname.strip())
-        if datum is not None and named.name != datum.name:
+        if named.name != datum.name:
             raise ValueError(f"weight {text!r} names {named.name}, but the group is {datum.name}")
-        datum = named
-    if datum is None:
-        raise ValueError(f"weight {text!r} carries no group; pass --group or prefix 'A2:'")
     body = body.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ValueError(f"weight {text!r}: expected coordinates like [1,0,2]")
@@ -180,7 +177,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_levels(args):
-    datum = build_root_datum(args.family.upper(), args.rank)
+    datum = build_root_datum(args.family, args.rank)
     assignments = weights.level_sets(datum, args.max_level, args.bound)
     by_level = {}
     for a in assignments:
@@ -202,7 +199,7 @@ def _cmd_levels(args):
 def _cmd_verify(args):
     report = verify.run_check(
         args.check,
-        family=args.family and args.family.upper(),
+        family=args.family,
         rank=args.rank,
         dim_bound=args.dim_bound,
         depth=args.depth,
@@ -280,7 +277,7 @@ def run(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except (UnsupportedRootSystemError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

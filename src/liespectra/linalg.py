@@ -69,11 +69,14 @@ def smith_normal_form(a):
     d lists the nonzero diagonal entries, each positive and dividing the
     next.  Row i of v holds the coordinates of basis vector i in
     Z^ncols / (rows of a): the first len(d) mod d, the rest free.
+
+    v is kept as the ncols rows below a's, starting as the identity, so
+    each column operation acts on both at once; the pivot search, the row
+    operations and the divisibility search read only the top nrows rows.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    m = [list(row) for row in a]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    m = [list(row) for row in a] + [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -81,16 +84,12 @@ def smith_normal_form(a):
     def swap_cols(i, j):
         for r in m:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
 
     def add_row(src, dst, f):
         m[dst] = [x + f * y for x, y in zip(m[dst], m[src])]
 
     def add_col(src, dst, f):
         for r in m:
-            r[dst] += f * r[src]
-        for r in v:
             r[dst] += f * r[src]
 
     t = 0
@@ -141,4 +140,4 @@ def smith_normal_form(a):
             continue
         t += 1
     # The loop stops at the first all-zero block, so t is the rank.
-    return [m[i][i] for i in range(t)], v
+    return [m[i][i] for i in range(t)], m[nrows:]

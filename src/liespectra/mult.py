@@ -181,7 +181,7 @@ def freudenthal_multiplicities(lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) 
     if not lam.is_dominant:
         raise ValueError(f"multiplicities need a dominant weight, got {lam}")
     datum = lam.datum
-    dim = weyl_dimension(lam)
+    dim = weyl_dimension_of(datum, lam.coords)
     if dim > dim_bound:
         raise ResourceLimitError(
             f"module {lam} has dimension {dim}, exceeding the dimension bound {dim_bound}"

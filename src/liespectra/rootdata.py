@@ -302,16 +302,6 @@ class RootDatum:
             level = above
         return [(cf, coords, half) for coords, (cf, _, half) in out]
 
-    def _coefficients(self, coords):
-        det = self.cartan_det
-        vals = vec_mat(coords, self.cartan_t_adj)
-        cf = []
-        for v in vals:
-            if v % det:
-                return None
-            cf.append(v // det)
-        return tuple(cf)
-
     # -- public helpers --------------------------------------------------------
 
     def weight(self, coords):
@@ -327,9 +317,17 @@ class RootDatum:
         return Weight(tuple(int(j == i - 1) for j in range(self.rank)), self)
 
     def root_coefficients(self, weight):
-        """Coefficients of a radical weight over the simple roots, or None."""
+        """Coefficients of a radical weight over the simple roots, or None.
+        They solve cartan @ cf = coords (column j of cartan is alpha_j), so
+        cf = adj @ coords / det, and a remainder means the weight is not radical."""
         coords = weight.coords if isinstance(weight, Weight) else tuple(weight)
-        return self._coefficients(coords)
+        det = self.cartan_det
+        cf = []
+        for v in vec_mat(coords, self.cartan_t_adj):
+            if v % det:
+                return None
+            cf.append(v // det)
+        return tuple(cf)
 
     def form(self, mu, nu):
         """Invariant symmetric bilinear form (mu, nu), exact rational."""

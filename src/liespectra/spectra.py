@@ -80,18 +80,21 @@ def spectrum(s: TorusElement, lam: Weight, dim_bound: int = DEFAULT_DIM_BOUND) -
     return spectrum_of_multiset(s, multiset)
 
 
-def residue_counts(s: TorusElement, multiset: WeightMultiset):
-    """(b, counts): counts maps each residue r = x mod M of a packed sum
-    x = sum c_i P_i (``TorusElement.residues`` with base 2^b) to the total
-    multiplicity of the weights c that give it.
+def spectrum_of_multiset(s: TorusElement, multiset: WeightMultiset) -> Spectrum:
+    """Spectrum of s on the weights of the multiset.
 
-    By the residue layout of ``TorusElement``, two weights have the same
-    value at s iff their residues are equal, so counts is the spectrum with
+    The values are counted on residues: each residue r = x mod M of a
+    packed sum x = sum c_i P_i (``TorusElement.residues`` with base 2^b)
+    gets the total multiplicity of the weights c that give it.  By the
+    residue layout of ``TorusElement``, two weights have the same value at
+    s iff their residues are equal, so these counts are the spectrum with
     undecoded keys.  The base is proven from the multiset's largest
     |coordinate|.  The residues of all weights are one chain in the
     multiset's ``layout`` order, read one multiplicity group at a time: the
     weights of multiplicity 1 are counted by ``Counter``, the others add
-    their multiplicity.
+    their multiplicity.  ``TorusElement.decode`` then sorts the residues as
+    integers and decodes each distinct one once.  The result equals
+    ``Spectrum.from_dict`` of the sum of ``evaluate`` over the weights.
     """
     if multiset.highest.datum is not s.datum:
         raise DatumMismatchError("weight bound to a different datum than the torus element")
@@ -105,18 +108,6 @@ def residue_counts(s: TorusElement, multiset: WeightMultiset):
         else:
             for r in islice(residues, count):
                 counts[r] = get(r, 0) + m
-    return b, counts
-
-
-def spectrum_of_multiset(s: TorusElement, multiset: WeightMultiset) -> Spectrum:
-    """Spectrum of s on the weights of the multiset.
-
-    The values are counted on residues (``residue_counts``), and
-    ``TorusElement.decode`` sorts the residues as integers and decodes each
-    distinct one once.  The result equals ``Spectrum.from_dict`` of the sum
-    of ``evaluate`` over the weights.
-    """
-    b, counts = residue_counts(s, multiset)
     return Spectrum(tuple(s.decode(counts, b)), (s.label, multiset.label), multiset.validity)
 
 

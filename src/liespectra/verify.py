@@ -130,14 +130,15 @@ def _fmt_coords(datum, coords_set):
 
 def verify_level_table(family: str, rank: int) -> VerificationReport:
     """Compare computed level-1/level-2 sets (and the radical part of level 3
-    where a reference is available) against the reference table.  A family
-    without a reference table (E, F, G) raises ValueError, and an unsupported
-    rank UnsupportedRootSystemError, before any work."""
+    where a reference is available) against the reference table.  The family
+    is case-insensitive, as in ``build_root_datum``.  A family without a
+    reference table (E, F, G) raises ValueError, and an unsupported rank
+    UnsupportedRootSystemError, before any work."""
     datum = build_root_datum(family, rank)
-    ref = tables.level_reference(family, rank)
+    ref = tables.level_reference(datum.family, rank)
     if ref is None:
-        raise ValueError(f"level tables are defined for families A-D, not {family}{rank}")
-    rec = _Recorder(f"level-table:{family}{rank}")
+        raise ValueError(f"level tables are defined for families A-D, not {datum.name}")
+    rec = _Recorder(f"level-table:{datum.name}")
     computed = {1: set(), 2: set(), 3: set()}  # level 3: its radical weights only
     for a in level_sets(datum, 3, LEVEL_TABLE_BOUND):
         if a.level < 3 or is_radical(a.weight):
@@ -538,13 +539,15 @@ def verify_natural_module_regularity(
     and its eigenvalue multiplicities on the natural module; for family D
     also the relation between the natural module and the module of the
     second fundamental weight.  Central samples are skipped; if all
-    ``samples`` draws are central, drawing goes on until one is not."""
+    ``samples`` draws are central, drawing goes on until one is not.  The
+    family is case-insensitive, as in ``build_root_datum``."""
+    datum = build_root_datum(family, rank)
+    family = datum.family
     if family not in "ABCD":
         raise ValueError("natural-module checks are defined for families A-D")
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
-    rec = _Recorder(f"natural:{family}{rank}:samples={samples}:seed={seed}")
-    datum = build_root_datum(family, rank)
+    rec = _Recorder(f"natural:{datum.name}:samples={samples}:seed={seed}")
     rng = random.Random(seed)
     nat = freudenthal_multiplicities(datum.fundamental_weight(1))
     adj2 = freudenthal_multiplicities(datum.fundamental_weight(2)) if family == "D" else None

@@ -8,7 +8,7 @@ import itertools
 import math
 from operator import add, mul, sub
 
-from .exceptions import DatumMismatchError, ResourceLimitError
+from .exceptions import ResourceLimitError
 from .rootdata import FrozenRecord, RootDatum, Weight
 from . import kernels
 from .kernels import DEFAULT_ORBIT_BOUND
@@ -36,20 +36,14 @@ _set_weight = LevelAssignment.weight.__set__
 _set_level = LevelAssignment.level.__set__
 
 
-def _same_datum(lam, mu):
-    if lam.datum is not mu.datum:
-        raise DatumMismatchError("weights bound to different root data")
-    return lam.datum
-
-
 def dominance_compare(lam: Weight, mu: Weight) -> Dominance:
     """Compare two weights in the dominance order (difference a nonzero
     nonnegative integer combination of simple roots)."""
-    datum = _same_datum(lam, mu)
+    lam._check(mu)
     if lam.coords == mu.coords:
         return Dominance.EQUAL
     diff = tuple(a - b for a, b in zip(lam.coords, mu.coords))
-    coeffs = datum.root_coefficients(diff)
+    coeffs = lam.datum.root_coefficients(diff)
     if coeffs is None:
         return Dominance.INCOMPARABLE
     if all(c >= 0 for c in coeffs):
@@ -116,14 +110,21 @@ def minimal_nonzero_subdominant(lam: Weight):
     Returned as a tuple (the minimal antichain); it is a singleton in the
     common cases but uniqueness is not guaranteed in general, so callers
     select explicitly.  Returns () when lam is minuscule.
+
+    A nonzero dominant mu < lam is minimal iff every step of ``_steps_mask``
+    (a positive root beta with mu - beta dominant) lands on 0: a chain of
+    dominant weights from mu down to a nonzero nu refines into such steps,
+    and the first lands at or above nu, so not on 0, as no nonzero dominant
+    weight lies below 0.
     """
     if not lam.is_dominant or lam.is_zero:
         raise ValueError("minimal nonzero subdominant needs a nonzero dominant weight")
-    candidates = [m for m in subdominant_weights(lam) if not m.is_zero and m != lam]
+    steps = _level_steps(lam.datum)
     minimal = []
-    for m in candidates:
-        if not any(
-            dominance_compare(m, other) is Dominance.FIRST_SUCCEEDS for other in candidates
+    for m in subdominant_weights(lam):
+        allowed = _steps_mask(m.coords, steps)
+        if not (m.is_zero or m == lam) and all(
+            r == m.coords for j, r in enumerate(steps[0]) if allowed >> j & 1
         ):
             minimal.append(m)
     return tuple(sorted(minimal, key=lambda w: w.coords))

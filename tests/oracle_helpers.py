@@ -265,6 +265,35 @@ def leq_oracle(datum, mu, lam):
     return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
+def minimal_nonzero_subdominant_oracle(datum, lam, dominant_below):
+    """The minimal elements, in the dominance order, of the nonzero dominant
+    weights strictly below lam, as sorted coordinate tuples; dominant_below
+    lists the dominant weights <= lam.
+
+    mu <= nu iff the simple-root coefficients of nu - mu are nonnegative
+    integers (``leq_oracle``).  All candidates lie in lam's coset, so the
+    differences are integral, and the coefficients come from one Fraction
+    inverse per call, scaled by its positive determinant to integers:
+    leq_oracle's elimination per pair would take minutes over the
+    thousand-weight sets of E8.  Candidates are taken lowest first; one is
+    minimal iff no minimal one taken before it lies below it, since every
+    candidate that is not minimal lies above a minimal one of lower height.
+    """
+    n = datum.rank
+    inverse, det = fraction_inverse_det([[datum.simple_root_coords[j][i] for j in range(n)]
+                                         for i in range(n)])
+    assert det > 0
+    adj = [[int(x * det) for x in row] for row in inverse]
+    lam = tuple(lam)
+    candidates = [(tuple(sum(a * c for a, c in zip(row, mu)) for row in adj), mu)
+                  for mu in map(tuple, dominant_below) if any(mu) and mu != lam]
+    minimal = []
+    for coeffs, mu in sorted(candidates, key=lambda item: sum(item[0])):
+        if not any(all(a <= b for a, b in zip(low, coeffs)) for low, _ in minimal):
+            minimal.append((coeffs, mu))
+    return sorted(mu for _, mu in minimal)
+
+
 def evaluate_oracle(s, mu):
     """Value of the character mu at the torus element s: the sum over i of
     mu_i times the value of omega_i, torsion added as Fractions mod 1."""

@@ -155,6 +155,9 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = invoke(capsys, "weights", "--group", "A2", "--highest", "[1]")
     assert code == 2 and "needs 2" in err
 
+    code, _, err = invoke(capsys, "weights", "--group", "A2", "--highest", "1,1")
+    assert code == 2 and "expected coordinates like [1,0,2]" in err
+
     code, _, err = invoke(capsys, "spectrum", "--group", "G2", "--highest", "[1,0]",
                           "--epsilon", "a,b")
     assert code == 2 and "A-D" in err
@@ -214,6 +217,45 @@ def test_importing_the_cli_loads_no_code_generation_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# Whole CLI processes that must answer (exit 0), each within its cap in
+# seconds; a run with no cap of its own (None) gets 60 s.
+SMOKE_RUNS = [
+    # Every Dynkin table builds.
+    *((["info", "--group", g], None) for g in ("A1", "B2", "C2", "D4", "E6", "E7", "E8", "F4", "G2")),
+    # The positive roots are built along root strings: rank 32 takes tens of ms.
+    *((["info", "--group", g], 10) for g in ("A32", "B32", "C32", "D32")),
+    (["weights", "--group", "E6", "--highest", "[1,0,0,0,0,0]", "--json"], None),
+    # More dominant weights per support than orbit-template slots, so the
+    # orbits are filled slot by slot.
+    (["weights", "--group", "A1", "--highest", "[1999]"], 10),
+    (["weights", "--group", "A2", "--highest", "[40,40]", "--json"], 10),
+    (["spectrum", "--group", "A3", "--highest", "[0,1,0]", "--epsilon", "a,a,1/a,1/a"], None),
+    # The spin weights' half rows (h = 2) of the epsilon-realization.
+    (["spectrum", "--group", "D5", "--highest", "[0,0,0,1,0]", "--epsilon", "a,b,c,d,e"], None),
+    (["spectrum", "--group", "B4", "--highest", "[0,0,0,1]", "--epsilon=-1,a,b,c"], None),
+    # Levels are searched only up to max level + 1, and only coordinate sums
+    # up to 1 + 2 (max level - 1) are listed.
+    (["levels", "--family", "E", "--rank", "8", "--bound", "8"], 5),
+    (["levels", "--family", "A", "--rank", "20", "--max-level", "3", "--bound", "6"], 5),
+    # The sweeps run through the strata and Smith forms; A3 at dimension 300
+    # is the benchmark's largest sweep group, 71 modules.
+    *((["verify", "--check", c, "--family", "D", "--rank", "4", "--dim-bound", "50"], None)
+      for c in ("c99", "bounds")),
+    *((["verify", "--check", c, "--family", "A", "--rank", "3", "--dim-bound", "300",
+        "--depth", "2"], 10) for c in ("c99", "bounds")),
+    # Every exempt set of the natural-module rule: none, -1, and 1 and -1.
+    *((["verify", "--check", "natural", "--family", f, "--rank", r, "--samples", "100",
+        "--seed", "0", "--json"], 10) for f, r in (("A", "3"), ("B", "3"), ("C", "3"), ("D", "4"))),
+]
+
+
+@pytest.mark.parametrize("argv,cap", SMOKE_RUNS, ids=[" ".join(argv) for argv, _ in SMOKE_RUNS])
+def test_cli_process_answers_within_its_cap(argv, cap):
+    proc = subprocess.run([sys.executable, "-m", "liespectra.cli", *argv], capture_output=True,
+                          text=True, timeout=cap or 60)
+    assert proc.returncode == 0 and proc.stdout, proc.stderr
 
 
 def test_resource_rejection_exits_three(capsys):

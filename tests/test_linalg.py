@@ -125,3 +125,19 @@ def test_smith_normal_form_diagonalizes_by_a_unimodular_column_transform(m):
     rows, cols = len(m), len(m[0])
     diag = [[d[i] if i == j and i < len(d) else 0 for j in range(cols)] for i in range(rows)]
     assert hermite_normal_form([vec_mat(row, v) for row in m]) == hermite_normal_form(diag)
+
+
+# Literal Smith forms of reductions that swap and add columns: the root
+# kernels of B3 and G2 at stratum depth <= 2, and folds for divisibility.
+# v is carried as the rows below a's, so a column operation that skipped
+# those rows would change v here.
+@pytest.mark.parametrize("a,d,v", [
+    ([[0, 1, -2]], [1], [[0, 1, 0], [1, 0, 2], [0, 0, 1]]),
+    ([[1, 0, -2], [0, 1, -4]], [1, 1], [[1, 0, 2], [0, 1, 4], [0, 0, 1]]),
+    ([[1, -1]], [1], [[1, 1], [0, 1]]),
+    ([[2, 0], [0, 3]], [1, 6], [[-1, 3], [1, -2]]),
+    ([[4, 6, 0], [6, 9, 3]], [1, 6], [[1, 0, -3], [0, 1, 2], [-3, -5, 0]]),
+    ([[0, 2, 1], [0, 1, 3], [5, 0, 0]], [1, 5, 5], [[0, 0, 1], [0, 1, 0], [1, -2, 0]]),
+])
+def test_smith_normal_form_pins_its_column_transform(a, d, v):
+    assert smith_normal_form(a) == (d, v)

@@ -126,7 +126,7 @@ def test_dir_lists_the_exports_and_unknown_names_raise():
 DELETED = {
     "mult.WeightMultiset": ("nonzero_multiplicities_all_one", "columns_by_multiplicity"),
     "spectra.Spectrum": ("as_dict", "inversion_symmetric"),
-    "spectra": ("classify_multiset",),
+    "spectra": ("classify_multiset", "residue_counts"),
     "rootdata.Weight": ("__sub__", "__mul__", "__rmul__"),
     "torus.ValueGroupElement": ("is_identity", "scale", "identity"),
     "weights": ("dominates", "enumerate_dominant_by_sum"),
@@ -198,6 +198,8 @@ _B2_WEIGHT, _NOT_DOMINANT = _B2.weight((1, 0)), _A2.weight((1, -1))
         _ON_A2, liespectra.freudenthal_multiplicities(_B2_WEIGHT)), DatumMismatchError,
      "different datum"),
     (lambda: liespectra.weyl_dimension(_NOT_DOMINANT), ValueError, "Weyl dimension needs"),
+    (lambda: liespectra.freudenthal_multiplicities(_NOT_DOMINANT), ValueError,
+     "multiplicities need a dominant weight"),
     (lambda: liespectra.premet_weight_set(_NOT_DOMINANT), ValueError, "weight set enumeration"),
     (lambda: liespectra.weight_level(_NOT_DOMINANT), ValueError, "weight level needs"),
     (lambda: liespectra.is_minuscule(_NOT_DOMINANT), ValueError, "minuscule test needs"),
@@ -206,8 +208,8 @@ _B2_WEIGHT, _NOT_DOMINANT = _B2.weight((1, 0)), _A2.weight((1, -1))
      ValueError, "different lengths"),
     (lambda: _A2.fundamental_weight(0), ValueError, "out of range"),
 ], ids=["epsilon_values", "evaluate", "StratumSpec", "almost_simple_class", "weyl_dimension",
-        "premet_weight_set", "weight_level", "is_minuscule", "TorusElement",
-        "fundamental_weight"])
+        "freudenthal_multiplicities", "premet_weight_set", "weight_level", "is_minuscule",
+        "TorusElement", "fundamental_weight"])
 def test_public_guards_reject_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()

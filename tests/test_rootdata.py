@@ -432,3 +432,6 @@ def test_weights_of_different_data_neither_compare_nor_add():
         a2.weight((1, 0)) == b2.weight((1, 0))
     with pytest.raises(DatumMismatchError):
         a2.weight((1, 0)) + b2.zero()
+    # A non-Weight is not compared, so it is unequal rather than an error.
+    assert a2.weight((1, 0)).__eq__((1, 0)) is NotImplemented
+    assert a2.weight((1, 0)) != (1, 0)

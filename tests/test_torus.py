@@ -58,6 +58,8 @@ def test_value_group_arithmetic():
     assert val(0, ()).render() == "1"
     assert val("1/2", (0,)).render() == "-1"
     assert val("1/2", (2, -1)).render() == "-a^2*b^-1"
+    with pytest.raises(ValueError, match="different ambient contexts"):
+        a + val(0, (1,))
 
 
 def test_identity_assignments_are_central():

@@ -251,6 +251,25 @@ def test_run_check_dispatch_and_errors():
         run_check("nonsense")
 
 
+@pytest.mark.parametrize("check", ["level-table", "natural", "c99", "bounds"])
+def test_run_check_reads_the_family_in_either_case(check):
+    options = dict(rank=3, dim_bound=30, depth=1, seed=2, samples=20)
+    lower, upper = (run_check(check, family=f, **options).to_json() for f in ("c", "C"))
+    for report in (lower, upper):
+        report.pop("elapsed_seconds")
+    assert lower == upper and lower["check_id"].startswith(f"{check}:C3")
+
+
+@pytest.mark.parametrize("family", ["E", "e"])
+@pytest.mark.parametrize("check,message", [
+    ("level-table", "level tables are defined for families A-D, not E6"),
+    ("natural", "natural-module checks are defined for families A-D"),
+])
+def test_a_check_without_a_rule_for_e6_rejects_it(check, message, family):
+    with pytest.raises(ValueError, match=message):
+        run_check(check, family=family, rank=6)
+
+
 def test_run_check_rejects_an_unknown_option():
     # A misspelt option must not run the check at its default.
     with pytest.raises(TypeError, match="dimbound"):

@@ -202,6 +202,17 @@ def test_minimal_nonzero_subdominant():
         minimal_nonzero_subdominant(c2.zero())
 
 
+@pytest.mark.parametrize("name", oh.RANK_AT_MOST_8)
+def test_minimal_nonzero_subdominant_matches_the_definition(name):
+    # Every nonzero dominant weight of coordinate sum <= 3 (<= 4 at rank <= 3).
+    datum = parse_group(name)
+    top = 4 if datum.rank <= 3 else 3
+    for lam in oh.enumerate_dominant_by_sum(datum, top)[1:]:
+        expected = oh.minimal_nonzero_subdominant_oracle(
+            datum, lam.coords, coords_set(subdominant_weights(lam)))
+        assert [m.coords for m in minimal_nonzero_subdominant(lam)] == expected, lam
+
+
 def test_weight_level_examples():
     c4 = build_root_datum("C", 4)
     assert weight_level(c4.fundamental_weight(1)) == 1
